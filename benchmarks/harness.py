@@ -1,10 +1,10 @@
 """Shared pytest-benchmark harness for the ``benchmarks/`` suite.
 
-Everything the 37 ``bench_*.py`` scripts used to duplicate lives here:
-the benchmark scale knob, output persistence (text + SVG for figures),
-and :func:`experiment_benchmark` — a factory that turns a registered
-experiment id into a complete pytest-benchmark test, so each per-figure
-script is one line instead of a copy-pasted timing body.
+Everything the ``bench_*.py`` scripts share lives here: the benchmark
+scale knob, output persistence (text + SVG for figures), and
+:func:`experiment_benchmark` — a factory that turns a registered
+experiment id into a complete pytest-benchmark test;
+``bench_experiments.py`` builds one per registered experiment.
 
 The same experiments are also runnable outside pytest through
 ``python -m repro bench`` (see :mod:`repro.obs.bench`), which shares this

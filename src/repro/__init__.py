@@ -55,18 +55,15 @@ from repro.traces.validate import validate_dataset
 from repro.whatif import Scenario, WhatIfResult, compare as whatif_compare
 from repro.analysis.context import AnalysisContext, CacheStats
 from repro.obs import (
+    FlightRecorder,
     MetricsRegistry,
-    NoopTracer,
+    NoopRecorder,
     RunManifest,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    telemetry_enabled,
-    use_tracer,
+    get_recorder,
+    span_tree,
+    use_recorder,
 )
 from repro.reporting.experiments import (
-    AnalysisCache,
     EXPERIMENTS,
     Experiment,
     list_experiments,
@@ -109,16 +106,13 @@ __all__ = [
     "validate_dataset",
     "AnalysisContext",
     "CacheStats",
+    "FlightRecorder",
     "MetricsRegistry",
-    "NoopTracer",
+    "NoopRecorder",
     "RunManifest",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
-    "telemetry_enabled",
-    "use_tracer",
-    "AnalysisCache",
+    "get_recorder",
+    "span_tree",
+    "use_recorder",
     "EXPERIMENTS",
     "Experiment",
     "list_experiments",

@@ -24,21 +24,20 @@ accounting, and the ``--chaos-*`` flags drive the deterministic fault
 harness (a chaos kill exits with code 3; stale checkpoint directories are
 refused with code 2).
 
-``simulate``, ``analyze``, ``bench`` and ``fidelity`` accept
-``--telemetry`` (or ``$REPRO_TELEMETRY=1``): the run executes under a real
-tracer and emits a machine-readable
+``simulate``, ``analyze``, ``bench`` and ``fidelity`` share one
+instrumentation spine, the flight recorder: ``--events PATH`` records the
+run (append-only, crash-durable ``events.jsonl`` holding its spans and
+events; ``repro events PATH`` tails/summarizes/postmortems it),
+``--telemetry`` folds that log into a machine-readable
 :class:`~repro.obs.manifest.RunManifest` JSON — config hash, seed, shard
 layout, per-stage wall/CPU seconds, cache hit rates and fault-loss
-accounting — and ``--trace-out`` additionally exports the span tree as
-Chrome-trace JSON. Telemetry never changes results: outputs are
+accounting — (without ``--events`` the log is a scratch file removed at
+exit), and ``--trace-out`` additionally exports the span tree as
+Chrome-trace JSON. ``--progress`` prints live shard/device progress with
+an ETA to stderr, and ``--prom PATH`` mirrors periodic resource samples
+(RSS, CPU, /dev/shm and store disk usage, steal/retry counters) to a
+Prometheus textfile. Instrumentation never changes results: outputs are
 bit-identical with it on or off.
-
-The same four commands also take the live-observability flags:
-``--events PATH`` flight-records the run (append-only, crash-durable
-``events.jsonl``; ``repro events PATH`` tails/summarizes/postmortems it),
-``--progress`` prints live shard/device progress with an ETA to stderr,
-and ``--prom PATH`` mirrors periodic resource samples (RSS, CPU, /dev/shm
-and store disk usage, steal/retry counters) to a Prometheus textfile.
 ``repro clean`` reclaims what killed runs leave behind: /dev/shm
 transport segments, orphan store partitions, and stale telemetry files.
 """
@@ -49,6 +48,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -57,16 +57,16 @@ from repro import __version__
 from repro.collection.faults import FaultPlan, OutageWindow
 from repro.engine.chaos import ChaosKill
 from repro.engine.executor import resolve_jobs
-from repro.errors import ConfigurationError, ReproError
-from repro.obs.manifest import build_manifest, config_hash_of
+from repro.errors import AnalysisError, ConfigurationError, ReproError
+from repro.obs.manifest import RunManifest, build_manifest, config_hash_of
 from repro.obs.recorder import (
     EVENTS_ENV_VAR,
     FlightRecorder,
     get_recorder,
     set_recorder,
+    write_chrome_trace,
 )
 from repro.obs.resources import ResourceSampler
-from repro.obs.span import Tracer, get_tracer, set_tracer, telemetry_enabled
 from repro.reporting.collection import (
     execution_losses_table,
     render_collection_report,
@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_telemetry_flags(command_parser: argparse.ArgumentParser) -> None:
         command_parser.add_argument(
             "--telemetry", action="store_true",
-            help="trace the run (spans, counters) and write a JSON run "
-                 "manifest; $REPRO_TELEMETRY=1 does the same. Outputs are "
-                 "bit-identical with telemetry on or off")
+            help="fold the run's event log (spans, counters) into a JSON "
+                 "run manifest. Outputs are bit-identical with telemetry "
+                 "on or off")
         command_parser.add_argument(
             "--manifest", type=Path, default=None, metavar="PATH",
             help="run-manifest output path (default: run_manifest.json "
@@ -138,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: $REPRO_JOBS, else one per CPU; "
                                "1 disables the pool; results are identical "
                                "for any value)")
-    simulate.add_argument("--kernel", choices=["batch", "legacy"],
-                          default="batch",
-                          help="simulation kernel (batch). The removed "
-                               "scalar 'legacy' value is rejected with a "
-                               "migration message")
     simulate.add_argument("--store", choices=["memory", "disk"],
                           default="memory",
                           help="campaign storage: 'memory' merges in RAM "
@@ -155,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="DIR",
                           help="root directory for --store disk campaign "
                                "stores (default: --out)")
-    simulate.add_argument("--store-format", choices=["npy", "parquet", "auto"],
-                          default="npy",
-                          help="column-file backend for --store disk: "
-                               "'npy' is dependency-free (default), "
-                               "'parquet' needs the optional pyarrow "
-                               "extra, 'auto' picks parquet when pyarrow "
-                               "is importable")
     faults = simulate.add_argument_group(
         "fault injection", "route campaigns through a lossy collection "
         "pipeline and report completeness")
@@ -329,11 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="worker processes for the study (reports "
                                "are bit-identical for any value)")
-    fidelity.add_argument("--kernel", choices=["batch", "legacy"],
-                          default="batch",
-                          help="simulation kernel (batch). The removed "
-                               "scalar 'legacy' value is rejected with a "
-                               "migration message")
     fidelity.add_argument("--out", type=Path,
                           default=Path("fidelity_report.json"),
                           help="FidelityReport JSON output path "
@@ -454,62 +437,49 @@ def _resolve_experiments(names: List[str]) -> List[str]:
     return names
 
 
-def _start_telemetry(args: argparse.Namespace) -> Optional[Tracer]:
-    """Install a real tracer when ``--telemetry``/``$REPRO_TELEMETRY`` asks.
+def _telemetry_on(args: argparse.Namespace) -> bool:
+    """Whether the command writes a run manifest (``--telemetry``, or a
+    flag that needs one)."""
+    return (getattr(args, "telemetry", False)
+            or getattr(args, "trace_out", None) is not None
+            or getattr(args, "report", None) is not None)
 
-    Returns the tracer (or None); the caller must reset via
-    :func:`repro.obs.span.set_tracer` (``_finish_telemetry`` does both the
-    reset and the manifest write).
+
+def _write_telemetry(command: str, args: argparse.Namespace,
+                     default_dir: Path, **fields) -> Optional[RunManifest]:
+    """Fold the run's event log into its manifest (and Chrome trace).
+
+    Returns the manifest, or None when telemetry is off. ``fields`` go to
+    :func:`~repro.obs.manifest.build_manifest`.
     """
-    wants = (getattr(args, "telemetry", False) or telemetry_enabled()
-             or getattr(args, "trace_out", None) is not None
-             or getattr(args, "report", None) is not None)
-    if wants:
-        tracer = Tracer(f"repro.{args.command}")
-        set_tracer(tracer)
-        return tracer
-    return None
-
-
-def _write_trace(tracer: Optional[Tracer], args: argparse.Namespace) -> None:
-    """Export the span tree as Chrome-trace JSON when ``--trace-out`` asks."""
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is None or tracer is None:
-        return
-    from repro.obs.span import write_chrome_trace
-
-    write_chrome_trace(tracer.export(), trace_out)
-    print(f"wrote Chrome trace {trace_out}")
-
-
-def _write_manifest(manifest, args: argparse.Namespace,
-                    default_dir: Path) -> None:
+    if not _telemetry_on(args):
+        return None
+    spans = get_recorder().snapshot()
+    manifest = build_manifest(
+        command, spans, seed=getattr(args, "seed", 0),
+        scale=getattr(args, "scale", 0.0), **fields,
+    )
     path = args.manifest or (default_dir / "run_manifest.json")
     manifest.write(path)
     print(f"wrote run manifest {path}")
+    if args.trace_out is not None:
+        write_chrome_trace(spans, args.trace_out)
+        print(f"wrote Chrome trace {args.trace_out}")
+    return manifest
 
 
-def _write_failure_manifest(command: str, tracer: Optional[Tracer],
-                            args: argparse.Namespace, default_dir: Path,
-                            exc: BaseException) -> None:
+def _write_failure_manifest(command: str, args: argparse.Namespace,
+                            default_dir: Path, exc: BaseException) -> None:
     """Account for a failed run: manifest with status/partial timings.
 
     A run that dies with telemetry on still leaves a ``run_manifest.json``
-    — ``status: "failed"``, the exception on one line, and whatever stage
-    timings the tracer collected before the failure. Best-effort: the
+    — ``status: "failed"``, the exception on one line, and whatever spans
+    the event log holds from before the failure. Best-effort: the
     original exception is never masked by manifest trouble.
     """
-    if tracer is None:
-        return
     try:
-        manifest = build_manifest(
-            command, tracer,
-            seed=getattr(args, "seed", 0),
-            scale=getattr(args, "scale", 0.0),
-            status="failed",
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        _write_manifest(manifest, args, default_dir)
+        _write_telemetry(command, args, default_dir, status="failed",
+                         error=f"{type(exc).__name__}: {exc}")
     except Exception:
         pass
 
@@ -529,15 +499,17 @@ def _progress_listener(event: dict) -> None:
 
 
 class _Recording:
-    """One command's live-observability plumbing (recorder + sampler)."""
+    """One command's instrumentation plumbing (recorder + sampler)."""
 
     def __init__(self, recorder: FlightRecorder,
                  sampler: Optional[ResourceSampler],
-                 env_was_set: bool, env_before: Optional[str]) -> None:
+                 env_was_set: bool, env_before: Optional[str],
+                 scratch: Optional[Path]) -> None:
         self.recorder = recorder
         self.sampler = sampler
         self._env_was_set = env_was_set
         self._env_before = env_before
+        self._scratch = scratch
 
     def finish(self, status: str, exit_code: int) -> None:
         """Final sample, ``run_end``, close, and global/env reset."""
@@ -551,19 +523,31 @@ class _Recording:
                 os.environ.pop(EVENTS_ENV_VAR, None)
             else:
                 os.environ[EVENTS_ENV_VAR] = self._env_before
+        if self._scratch is not None:
+            self._scratch.unlink(missing_ok=True)
 
 
 def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
-    """Install the flight recorder when ``--events``/``--progress``/
-    ``--prom`` ask; returns None (and costs nothing) otherwise.
+    """Install the flight recorder when ``--events``/``--telemetry``/
+    ``--progress``/``--prom`` ask; returns None (and costs nothing)
+    otherwise.
 
-    Exporting ``$REPRO_EVENTS`` lets spawned pool workers resolve the same
-    event file through :func:`repro.obs.recorder.get_recorder` — every
-    event is one O_APPEND write, so sharing the file is safe.
+    The run manifest is a fold over the event log, so telemetry without
+    ``--events`` records to a scratch log that :meth:`_Recording.finish`
+    removes. Exporting ``$REPRO_EVENTS`` lets spawned pool workers resolve
+    the same event file through :func:`repro.obs.recorder.get_recorder` —
+    every event is one O_APPEND write, so sharing the file is safe.
     """
     events = getattr(args, "events", None)
     progress = getattr(args, "progress", False)
     prom = getattr(args, "prom", None)
+    sample = events is not None or prom is not None
+    scratch = None
+    if events is None and _telemetry_on(args):
+        handle, name = tempfile.mkstemp(prefix="repro-events-",
+                                        suffix=".jsonl")
+        os.close(handle)
+        events = scratch = Path(name)
     if events is None and not progress and prom is None:
         return None
     recorder = FlightRecorder(
@@ -584,7 +568,7 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
         scale=getattr(args, "scale", None),
     )
     sampler = None
-    if events is not None or prom is not None:
+    if sample:
         disk_paths = [
             p for p in (getattr(args, "out", None),
                         getattr(args, "store_dir", None),
@@ -596,7 +580,7 @@ def _start_recording(args: argparse.Namespace) -> Optional[_Recording]:
             disk_paths=disk_paths, prom_path=prom,
         )
         sampler.start()
-    return _Recording(recorder, sampler, env_was_set, env_before)
+    return _Recording(recorder, sampler, env_was_set, env_before, scratch)
 
 
 def _study_shards(study: Study) -> List[dict]:
@@ -694,25 +678,7 @@ def _resilience_from_args(
     )
 
 
-def _check_kernel(args: argparse.Namespace) -> None:
-    """Reject the removed scalar kernel with a migration message.
-
-    The flag value is still parsed (so old scripts fail with a clear
-    explanation and exit code 2 instead of an argparse usage error) but
-    no code path behind it survives.
-    """
-    if getattr(args, "kernel", "batch") == "legacy":
-        raise ConfigurationError(
-            "--kernel legacy was removed: the scalar per-device loop and "
-            "DeviceSimulator.collect() are gone. The columnar batch kernel "
-            "is bit-for-bit identical for every configuration (this was "
-            "gated in CI for a full release); drop the flag or pass "
-            "--kernel batch."
-        )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_kernel(args)
     faults = _fault_plan_from_args(args)
     resilience = _resilience_from_args(args)
     n_jobs = resolve_jobs(args.jobs, default=0)  # default: auto (CPU count)
@@ -721,12 +687,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         store_dir = args.store_dir if args.store_dir is not None else args.out
     elif args.store_dir is not None:
         raise ConfigurationError("--store-dir requires --store disk")
-    tracer = _start_telemetry(args)
     try:
         study = run_study(scale=args.scale, seed=args.seed, faults=faults,
                           n_jobs=n_jobs, resilience=resilience,
-                          kernel=args.kernel, store_dir=store_dir,
-                          store_format=args.store_format)
+                          store_dir=store_dir)
         args.out.mkdir(parents=True, exist_ok=True)
         if study.execution is not None:
             print(f"executor: {study.execution.describe()}")
@@ -737,7 +701,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 path = Path(store_dir) / f"campaign{year}"
             else:
                 path = args.out / f"campaign{year}"
-                with get_tracer().span("save_dataset", year=year):
+                with get_recorder().span("save_dataset", year=year):
                     save_dataset(study.dataset(year), path)
             info = study.campaigns[year].execution
             shards = f", {info.n_shards} shards" if info is not None else ""
@@ -755,35 +719,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(execution_losses_table(losses).render())
         if study.resilience is not None:
             print(study.resilience.describe())
-        if tracer is not None:
-            manifest = build_manifest(
-                "simulate", tracer,
-                config_hash=config_hash_of(
-                    *(study.campaigns[y].config for y in study.years)
-                ),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                kernel=args.kernel,
-                execution=study.execution, shards=_study_shards(study),
-                collection_reports={
-                    y: study.campaigns[y].collection for y in study.years
-                },
-                resilience=study.resilience,
-                losses=losses,
-            )
-            _write_manifest(manifest, args, args.out)
-        _write_trace(tracer, args)
+        _write_telemetry(
+            "simulate", args, args.out,
+            config_hash=config_hash_of(
+                *(study.campaigns[y].config for y in study.years)
+            ),
+            years=list(study.years),
+            execution=study.execution, shards=_study_shards(study),
+            collection_reports={
+                y: study.campaigns[y].collection for y in study.years
+            },
+            resilience=study.resilience,
+            losses=losses,
+        )
         return 0
     except Exception as exc:
-        _write_failure_manifest("simulate", tracer, args, args.out, exc)
+        _write_failure_manifest("simulate", args, args.out, exc)
         raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     names = _resolve_experiments(args.experiments)
-    tracer = _start_telemetry(args)
+    out_dir = args.out if args.out is not None else Path(".")
     try:
         if args.data is not None:
             study = _load_study_from(args.data)
@@ -797,9 +754,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cache = AnalysisContext(study)
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
+        # An experiment without enough data (small panels) is reported,
+        # not fatal: every other experiment still runs and is written.
+        lacking = []
         for name in names:
-            with get_tracer().span("experiment", experiment=name):
-                result = run_experiment(name, cache)
+            try:
+                with get_recorder().span("experiment", experiment=name):
+                    result = run_experiment(name, cache)
+            except AnalysisError as exc:
+                lacking.append(f"{name} ({exc})")
+                continue
             text = result.render() if hasattr(result, "render") else str(result)
             print(text)
             print()
@@ -807,31 +771,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 (args.out / f"{name}.txt").write_text(text + "\n")
         if args.cache_stats:
             print(cache.stats.render())
-        if tracer is not None:
-            manifest = build_manifest(
-                "analyze", tracer,
-                config_hash=(config_hash_of(str(args.data))
-                             if args.data is not None
-                             else config_hash_of(study.config)),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                execution=study.execution,
-                shards=_study_shards(study) if study.execution else None,
-                cache_stats=cache.stats,
-                extra_counters={"experiments_run": len(names)},
-            )
-            _write_manifest(manifest, args,
-                            args.out if args.out is not None else Path("."))
-        _write_trace(tracer, args)
+        error = (f"not enough data for {len(lacking)} experiment(s): "
+                 f"{'; '.join(lacking)}" if lacking else "")
+        _write_telemetry(
+            "analyze", args, out_dir, status="failed" if error else "ok",
+            error=error,
+            config_hash=(config_hash_of(str(args.data))
+                         if args.data is not None
+                         else config_hash_of(study.config)),
+            years=list(study.years),
+            execution=study.execution,
+            shards=_study_shards(study) if study.execution else None,
+            cache_stats=cache.stats,
+            extra_counters={"experiments_run": len(names) - len(lacking),
+                            "experiments_lacking_data": len(lacking)},
+        )
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         return 0
     except Exception as exc:
-        _write_failure_manifest(
-            "analyze", tracer, args,
-            args.out if args.out is not None else Path("."), exc,
-        )
+        _write_failure_manifest("analyze", args, out_dir, exc)
         raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -862,7 +823,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.check_only is not None:
         report = bench_harness.load_report(args.check_only)
     else:
-        tracer = _start_telemetry(args)
         try:
             report = bench_harness.run_suite(
                 scale=args.scale, seed=args.seed, repeat=args.repeat,
@@ -872,25 +832,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             bench_harness.write_report(report, args.out)
             print(bench_harness.render_results(report))
             print(f"wrote {args.out}")
-            if tracer is not None:
-                manifest = build_manifest(
-                    "bench", tracer,
-                    config_hash=config_hash_of(
-                        ("bench", args.scale, args.seed, args.repeat,
-                         args.warmup)
-                    ),
-                    seed=args.seed, scale=args.scale,
-                    extra_counters={"benchmarks_run": report["n_benchmarks"]},
-                )
-                _write_manifest(manifest, args, args.out.parent)
-            _write_trace(tracer, args)
+            _write_telemetry(
+                "bench", args, args.out.parent,
+                config_hash=config_hash_of(
+                    ("bench", args.scale, args.seed, args.repeat,
+                     args.warmup)
+                ),
+                extra_counters={"benchmarks_run": report["n_benchmarks"]},
+            )
         except Exception as exc:
-            _write_failure_manifest("bench", tracer, args,
-                                    args.out.parent, exc)
+            _write_failure_manifest("bench", args, args.out.parent, exc)
             raise
-        finally:
-            if tracer is not None:
-                set_tracer(None)
 
     failures = []
     for baseline_path in args.check or ():
@@ -942,15 +894,13 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     # Lazy: the scorer reaches up into the analysis layer.
     from repro.obs import fidelity as fidelity_mod
 
-    _check_kernel(args)
-    tracer = _start_telemetry(args)
     try:
         if args.data is not None:
             study = _load_study_from(args.data)
         else:
             n_jobs = resolve_jobs(args.jobs, default=1)
             study = run_study(scale=args.scale, seed=args.seed,
-                              n_jobs=n_jobs, kernel=args.kernel)
+                              n_jobs=n_jobs)
         cache = AnalysisContext(study)
         report = fidelity_mod.score_fidelity(
             cache, checks=args.checks or None,
@@ -967,27 +917,23 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             print(f"{'rewrote' if changed else 'unchanged:'} "
                   f"{args.write_doc}")
 
-        manifest = None
-        if tracer is not None:
-            manifest = build_manifest(
-                "fidelity", tracer,
-                config_hash=(config_hash_of(str(args.data))
-                             if args.data is not None
-                             else config_hash_of(study.config)),
-                seed=args.seed, scale=args.scale, years=list(study.years),
-                kernel="" if args.data is not None else args.kernel,
-                execution=study.execution,
-                shards=_study_shards(study) if study.execution else None,
-                cache_stats=cache.stats,
-                extra_counters={
-                    "fidelity_checks": len(report.records),
-                    "fidelity_pass": report.n_pass,
-                    "fidelity_warn": report.n_warn,
-                    "fidelity_fail": report.n_fail,
-                    "fidelity_skip": report.n_skip,
-                },
-            )
-            _write_manifest(manifest, args, args.out.parent)
+        manifest = _write_telemetry(
+            "fidelity", args, args.out.parent,
+            config_hash=(config_hash_of(str(args.data))
+                         if args.data is not None
+                         else config_hash_of(study.config)),
+            years=list(study.years),
+            execution=study.execution,
+            shards=_study_shards(study) if study.execution else None,
+            cache_stats=cache.stats,
+            extra_counters={
+                "fidelity_checks": len(report.records),
+                "fidelity_pass": report.n_pass,
+                "fidelity_warn": report.n_warn,
+                "fidelity_fail": report.n_fail,
+                "fidelity_skip": report.n_skip,
+            },
+        )
 
         history_path = (args.history
                         or args.out.parent / "FIDELITY_history.jsonl")
@@ -1033,7 +979,6 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                 history=history,
             )
             print(f"wrote run report {args.report}")
-        _write_trace(tracer, args)
 
         if failures:
             for failure in failures:
@@ -1045,12 +990,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
                   f"{report.n_fail} fail, {report.n_skip} skip)")
         return 0
     except Exception as exc:
-        _write_failure_manifest("fidelity", tracer, args,
-                                args.out.parent, exc)
+        _write_failure_manifest("fidelity", args, args.out.parent, exc)
         raise
-    finally:
-        if tracer is not None:
-            set_tracer(None)
 
 
 def cmd_events(args: argparse.Namespace) -> int:
@@ -1181,7 +1122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     recording = _start_recording(args)
     status, code = "failed", 1
     try:
-        code = handlers[args.command](args)
+        with get_recorder().span(f"repro.{args.command}"):
+            code = handlers[args.command](args)
         status = "ok" if code == 0 else "failed"
         return code
     except ChaosKill as exc:

@@ -26,7 +26,6 @@ from repro.collection.faults import (
 from repro.collection.server import CollectionServer
 from repro.collection.uploader import Uploader
 from repro.obs.recorder import get_recorder
-from repro.obs.span import get_tracer
 from repro.traces.records import DeviceInfo
 
 #: Distinct stream key so fault randomness never aliases simulation draws.
@@ -99,20 +98,20 @@ class CollectionPump:
             cached=uploader.cached_batches,
         )
         self._stats.append(stats)
-        tracer = get_tracer()
-        if tracer.enabled:
+        recorder = get_recorder()
+        if recorder.enabled:
             # One bundle of counters per device on the current span; with
-            # the default no-op tracer this branch costs a single check.
-            tracer.count("pump.batches_uploaded", stats.uploaded)
-            tracer.count("pump.batches_delivered", stats.delivered)
-            tracer.count("pump.batches_dropped", stats.dropped)
-            tracer.count("pump.batches_churned", stats.churned)
-            tracer.count("pump.duplicates_sent", stats.duplicates)
-            tracer.count("pump.upload_failures", transport.failures)
+            # the default no-op recorder this branch costs a single check.
+            recorder.count("pump.batches_uploaded", stats.uploaded)
+            recorder.count("pump.batches_delivered", stats.delivered)
+            recorder.count("pump.batches_dropped", stats.dropped)
+            recorder.count("pump.batches_churned", stats.churned)
+            recorder.count("pump.duplicates_sent", stats.duplicates)
+            recorder.count("pump.upload_failures", transport.failures)
         if stats.dropped or stats.churned:
             # Flight-record only actual losses (never the happy path — a
             # per-device event on clean runs would swamp the log).
-            get_recorder().emit(
+            recorder.emit(
                 "fault_loss", device=info.device_id,
                 dropped=stats.dropped, churned=stats.churned,
                 churn_slot=stats.churn_slot,
@@ -149,14 +148,14 @@ class CollectionPump:
             cached=0,
         )
         self._stats.append(stats)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("pump.batches_uploaded", stats.uploaded)
-            tracer.count("pump.batches_delivered", stats.delivered)
-            tracer.count("pump.batches_dropped", 0)
-            tracer.count("pump.batches_churned", 0)
-            tracer.count("pump.duplicates_sent", 0)
-            tracer.count("pump.upload_failures", 0)
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.count("pump.batches_uploaded", stats.uploaded)
+            recorder.count("pump.batches_delivered", stats.delivered)
+            recorder.count("pump.batches_dropped", 0)
+            recorder.count("pump.batches_churned", 0)
+            recorder.count("pump.duplicates_sent", 0)
+            recorder.count("pump.upload_failures", 0)
         return stats
 
     def report(self) -> CollectionReport:

@@ -61,10 +61,6 @@ class ShardOutput:
     stats: List[DeviceCollectionStats] = field(default_factory=list)
     batches_received: int = 0
     duplicates_dropped: int = 0
-    #: Exported telemetry span tree from the worker's local tracer
-    #: (None when the run was untraced); the merge layer grafts it back
-    #: into the parent's trace. Carries no simulation state.
-    spans: Optional[dict] = None
     #: Shared-memory transport handle (parallel execution only).
     payload: Optional[ShardPayload] = None
     #: On-disk store partition holding this shard's columns
@@ -100,8 +96,8 @@ class ShardOutput:
         Returns a slim partition-backed copy: the chunk data now lives in
         ``store/parts/<name>/`` and the shared-memory segment (if any) is
         unmapped, so accepting a shard costs O(manifest) parent memory
-        instead of O(rows). Collection stats and spans stay inline —
-        they are small and the merge layer consumes them directly.
+        instead of O(rows). Collection stats stay inline — they are
+        small and the merge layer consumes them directly.
         """
         ref = store.write_partition(name, self.chunk_map())
         moved = self.transport_bytes
@@ -115,18 +111,16 @@ class ShardOutput:
 
         Shared-memory views must be materialised into ordinary arrays —
         the segment is unlinked the moment the shard is accepted, and a
-        pickled view would drag the whole mapped buffer along. Span
-        trees are grafted into the parent tracer at accept time and
-        never replayed from a checkpoint, so they are dropped too.
+        pickled view would drag the whole mapped buffer along.
         Partition-backed outputs checkpoint as just the
         :class:`~repro.traces.store.PartitionRef` — the checkpoint
         references the store partition instead of re-pickling the rows,
         and resume validates the partition's digest before trusting it.
         """
         if self.payload is None:
-            return replace(self, spans=None) if self.spans else self
+            return self
         return replace(self, chunks=self.payload.materialize(),
-                       payload=None, spans=None)
+                       payload=None)
 
 
 def ordered_outputs(

@@ -2,11 +2,17 @@
 
 Stdlib-light modules the rest of the system threads through:
 
-- :mod:`repro.obs.span` — ``Span``/``Tracer`` with monotonic wall/CPU
-  timings, counters and nesting; a shared no-op tracer keeps the
-  instrumented hot paths zero-overhead unless telemetry is enabled.
-  Chrome-trace export (:func:`~repro.obs.span.to_chrome_trace`) makes the
-  tree loadable in ``chrome://tracing`` / Perfetto.
+- :mod:`repro.obs.recorder` — the one instrumentation spine: the
+  crash-durable flight recorder (append-only ``events.jsonl``; one
+  O_APPEND write per event) whose ``span()``/``count()`` record timed,
+  nested stages as ``span_start``/``span_end`` events. A shared no-op
+  recorder keeps instrumented hot paths zero-overhead unless a command
+  asks for ``--events``/``--telemetry``. Every view is a fold over the
+  log: :func:`~repro.obs.recorder.span_tree` (manifest spans and stages),
+  :func:`~repro.obs.recorder.chrome_trace` (``chrome://tracing`` /
+  Perfetto) and the truncation-tolerant
+  :func:`~repro.obs.recorder.reconstruct` postmortem. Stdlib-only, so
+  every layer can record.
 - :mod:`repro.obs.metrics` — ``MetricsRegistry`` folding the analysis
   cache stats, collection loss accounting and executor shard timings into
   one counters/stages schema.
@@ -16,10 +22,6 @@ Stdlib-light modules the rest of the system threads through:
 - :mod:`repro.obs.reference` — the paper-reference registry: one
   ``PaperRef`` per checkable claim, each with a tolerance/shape
   ``Predicate`` producing a normalized divergence and verdict.
-- :mod:`repro.obs.recorder` — the crash-durable flight recorder
-  (append-only ``events.jsonl``; O_APPEND write per event) plus the
-  truncation-tolerant parser and :func:`~repro.obs.recorder.reconstruct`
-  postmortem. Stdlib-only, so every layer can emit events.
 - :mod:`repro.obs.resources` — the daemon-thread resource sampler
   (RSS/CPU//dev/shm/store-disk plus executor lifetime counters) with a
   Prometheus-textfile exporter.
@@ -47,12 +49,15 @@ from repro.obs.recorder import (
     FlightRecorder,
     NoopRecorder,
     Postmortem,
+    chrome_trace,
     get_recorder,
     load_events,
     parse_events,
     reconstruct,
     set_recorder,
+    span_tree,
     use_recorder,
+    write_chrome_trace,
 )
 from repro.obs.reference import (
     REFERENCES,
@@ -65,36 +70,15 @@ from repro.obs.reference import (
     refs_for,
     verdict_rank,
 )
-from repro.obs.span import (
-    TELEMETRY_ENV_VAR,
-    NoopTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    spans_from_chrome_trace,
-    telemetry_enabled,
-    to_chrome_trace,
-    use_tracer,
-    write_chrome_trace,
-)
 
 __all__ = [
-    "Span",
-    "Tracer",
-    "NoopTracer",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "telemetry_enabled",
-    "TELEMETRY_ENV_VAR",
     "MetricsRegistry",
     "RunManifest",
     "build_manifest",
     "config_hash_of",
     "MANIFEST_SCHEMA_VERSION",
-    "to_chrome_trace",
-    "spans_from_chrome_trace",
+    "chrome_trace",
+    "span_tree",
     "write_chrome_trace",
     "REFERENCES",
     "PaperRef",

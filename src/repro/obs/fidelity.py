@@ -41,7 +41,7 @@ from repro.obs.reference import (
     reference_experiment_ids,
     verdict_rank,
 )
-from repro.obs.span import get_tracer
+from repro.obs.recorder import get_recorder
 
 __all__ = [
     "FidelityRecord",
@@ -794,7 +794,7 @@ def _score_one(ref: PaperRef, ctx) -> FidelityRecord:
     skip_on = ((_SkipCheck, AnalysisError, Exception)
                if _context_is_partial(ctx) else (_SkipCheck, AnalysisError))
     try:
-        with get_tracer().span("fidelity.check", check=ref.check_id):
+        with get_recorder().span("fidelity.check", check=ref.check_id):
             measured = extractor(ctx)
     except skip_on as exc:
         return FidelityRecord(
@@ -834,8 +834,7 @@ def score_fidelity(
     check_ids = resolve_check_ids(checks)
     report = FidelityReport(scale=scale, seed=seed,
                             years=[int(y) for y in context.years])
-    tracer = get_tracer()
-    with tracer.span("fidelity.score", n_checks=len(check_ids)):
+    with get_recorder().span("fidelity.score", n_checks=len(check_ids)):
         for check_id in check_ids:
             report.records.append(_score_one(REFERENCES[check_id], context))
     return report

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
 
 __all__ = ["RunManifest", "build_manifest", "config_hash_of",
            "MANIFEST_SCHEMA_VERSION"]
@@ -68,9 +67,6 @@ class RunManifest:
     seed: int
     scale: float
     years: List[int] = field(default_factory=list)
-    #: Which simulation kernel ran the devices ("batch" is the only one
-    #: left; empty for runs that did not simulate, e.g. --data reloads).
-    kernel: str = ""
     executor: str = "serial"
     n_jobs: int = 1
     #: Per-year shard layout: ``[{"year", "n_shards", "n_devices"}, ...]``.
@@ -79,7 +75,10 @@ class RunManifest:
     stages: Dict[str, Dict[str, Union[int, float]]] = field(default_factory=dict)
     #: Namespaced counters (cache hit rates, fault-loss accounting, ...).
     counters: Dict[str, Union[int, float]] = field(default_factory=dict)
-    #: Full exported span tree (empty when telemetry was off).
+    #: The run's span tree, folded from its event log by
+    #: :func:`repro.obs.recorder.span_tree` (empty when telemetry was
+    #: off). The command's root span is still open when the manifest is
+    #: written, so it carries ``open: true`` and its time so far.
     spans: dict = field(default_factory=dict)
     #: Per-shard attempt/outcome history from the resilience layer
     #: (``[{"year", "shard", "attempts", "outcome", "failures"}, ...]``;
@@ -127,13 +126,12 @@ class RunManifest:
 
 def build_manifest(
     command: str,
-    tracer: Optional[Tracer] = None,
+    spans: Optional[dict] = None,
     *,
     config_hash: str = "",
     seed: int = 0,
     scale: float = 0.0,
     years: Optional[List[int]] = None,
-    kernel: str = "",
     execution=None,
     shards: Optional[List[Dict[str, int]]] = None,
     cache_stats=None,
@@ -144,19 +142,18 @@ def build_manifest(
     status: str = "ok",
     error: str = "",
 ) -> RunManifest:
-    """Assemble a manifest from a run's telemetry and accounting objects.
+    """Assemble a manifest from a run's span tree and accounting objects.
 
-    Every argument is optional so each CLI entry point contributes what it
+    ``spans`` is the :func:`~repro.obs.recorder.span_tree` of the run's
+    event log; its spans are the only source of ``stages``. Every argument is optional so each CLI entry point contributes what it
     actually has: ``simulate`` has collection reports but no cache stats,
     ``analyze`` the reverse, ``bench`` both. ``resilience`` takes a
     ``ResilienceReport``; ``losses`` a list of per-year
     ``ExecutionLosses``.
     """
     registry = MetricsRegistry()
-    spans: dict = {}
-    if tracer is not None and tracer.enabled:
-        spans = tracer.export()
-        registry.ingest_span_tree(spans)
+    spans = dict(spans or {})
+    registry.ingest_span_tree(spans)
     if cache_stats is not None:
         registry.ingest_cache_stats(cache_stats)
     for year, report in (collection_reports or {}).items():
@@ -178,7 +175,6 @@ def build_manifest(
         seed=seed,
         scale=scale,
         years=list(years or []),
-        kernel=kernel,
         executor=getattr(execution, "executor", "serial"),
         n_jobs=getattr(execution, "n_jobs", 1),
         shards=list(shards or []),

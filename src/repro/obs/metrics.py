@@ -3,7 +3,7 @@
 Before this module, run accounting was scattered: the analysis memo kept
 :class:`~repro.analysis.context.CacheStats`, the collection pipeline kept
 :class:`~repro.collection.faults.CollectionReport` loss/outage counters, and
-the execution engine kept shard timings inside span exports. A
+the execution engine kept shard timings inside span trees. A
 :class:`MetricsRegistry` ingests all three into two flat, JSON-ready maps:
 
 - ``counters`` — namespaced monotonic counts
@@ -61,6 +61,8 @@ class MetricsRegistry:
     def ingest_cache_stats(self, stats, prefix: str = "cache") -> None:
         """Fold a ``CacheStats``-shaped object into ``counters``.
 
+        Artifact compute time is not observed here: each cache miss is an
+        ``artifact.<name>`` span, and spans are the only source of stages.
         Expects ``per_artifact()`` yielding objects with ``artifact``,
         ``hits``, ``misses``, ``compute_seconds`` and ``cached_bytes``.
         """
@@ -69,8 +71,6 @@ class MetricsRegistry:
             self.count(f"{base}.hits", entry.hits)
             self.count(f"{base}.misses", entry.misses)
             self.count(f"{base}.cached_bytes", entry.cached_bytes)
-            self.observe(f"artifact.{entry.artifact}",
-                         entry.compute_seconds, entry.compute_seconds)
         self.set(f"{prefix}.hit_rate", round(_hit_rate(stats), 6))
 
     def ingest_collection_report(

@@ -1,25 +1,32 @@
-"""Flight recorder: a crash-durable, append-only ``events.jsonl`` stream.
+"""Flight recorder: the one instrumentation spine, an append-only log.
 
-While spans and manifests (PR 4) only materialize on clean exit, the
-:class:`FlightRecorder` narrates a run *while it happens*: one JSON object
-per line, written through an ``O_APPEND`` file descriptor with a single
-``os.write`` per event. POSIX appends of one small write are atomic, so
-pool workers and the parent can share the file without interleaving, and a
-``kill -9`` at any instant leaves every fully-written event parseable —
+The :class:`FlightRecorder` narrates a run *while it happens*: one JSON
+object per line, written through an ``O_APPEND`` file descriptor with a
+single ``os.write`` per event. POSIX appends of one small write are atomic,
+so pool workers and the parent can share the file without interleaving, and
+a ``kill -9`` at any instant leaves every fully-written event parseable —
 at worst the final line is truncated, and :func:`parse_events` tolerates
 exactly that.
 
-Like the tracer in :mod:`repro.obs.span`, recording is **zero-overhead by
-default**: the process-global recorder is a shared :class:`NoopRecorder`
-whose ``emit()`` is a constant ``return None``; a real recorder is
-installed by the CLI for ``--events``/``--progress`` (or inherited by pool
+Timed stages are spans on the same stream: ``with recorder.span(name,
+**attrs)`` emits ``span_start``, and on exit ``span_end`` with monotonic
+wall seconds (:func:`time.perf_counter`), process CPU seconds
+(:func:`time.process_time`), an ok flag and the counters that
+:meth:`FlightRecorder.count` added while the span was innermost. Every view
+of a run is a fold over the parsed log: :func:`span_tree` rebuilds the
+nested span tree (manifest ``spans``/``stages``), :func:`chrome_trace`
+lays it out for ``chrome://tracing`` at the real start times, and
+:func:`reconstruct` reads a postmortem — open spans included — from a
+log a kill cut short.
+
+Recording is **zero-overhead by default**: the process-global recorder is
+a shared :class:`NoopRecorder` whose ``emit()``/``count()`` are a constant
+``return None`` and whose ``span()`` returns one reusable no-op context
+manager. A real recorder is installed by the CLI for ``--events``,
+``--telemetry``, ``--progress`` or ``--prom`` (or inherited by pool
 workers through ``$REPRO_EVENTS``). Nothing here touches RNG state —
 recorded and unrecorded runs are bit-identical
 (``tests/test_telemetry_identity.py``).
-
-:func:`reconstruct` rebuilds a :class:`Postmortem` (phase, completed vs
-in-flight shards, losses, last resource sample) from a possibly-truncated
-event log; the ``repro events`` subcommand fronts it.
 
 Stdlib-only so every layer (engine, collection, traces, CLI) can import it
 without cycles.
@@ -41,14 +48,18 @@ __all__ = [
     "NoopRecorder",
     "NOOP_RECORDER",
     "Postmortem",
+    "chrome_trace",
     "format_event",
     "get_recorder",
+    "recorder_for",
     "set_recorder",
+    "span_tree",
     "use_recorder",
     "parse_events",
     "load_events",
     "reconstruct",
     "summarize_events",
+    "write_chrome_trace",
 ]
 
 #: Setting this to a path enables flight recording process-wide; pool
@@ -63,8 +74,8 @@ EVENTS_ENV_VAR = "REPRO_EVENTS"
 EVENT_KINDS: Dict[str, str] = {
     "run_start": "command began: argv, config hash, seed, scale, pid",
     "run_end": "command finished: status (ok/failed/interrupted), exit code",
-    "phase_start": "a named pipeline phase opened (plan/execute/merge/...)",
-    "phase_end": "a named pipeline phase closed, with wall seconds",
+    "span_start": "a timed span opened: span name and attrs",
+    "span_end": "a span closed: wall/CPU seconds, ok flag, its counters",
     "shard_queued": "a shard was scheduled for execution (year, shard, unit)",
     "shard_completed": "a shard's output was accepted by the parent",
     "shard_retry": "a shard attempt failed and will be retried or settled",
@@ -98,6 +109,8 @@ class FlightRecorder:
         self.path: Optional[Path] = Path(path) if path is not None else None
         self.listener = listener
         self._fd: Optional[int] = None
+        self._offset = 0
+        self._open: List[_Span] = []
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fd = os.open(
@@ -105,13 +118,14 @@ class FlightRecorder:
                 os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                 0o644,
             )
+            self._offset = os.lseek(self._fd, 0, os.SEEK_END)
 
     def emit(self, kind: str, **fields: object) -> None:
         """Record one event; a single O_APPEND write makes it durable."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}; add it to "
                              f"repro.obs.recorder.EVENT_KINDS")
-        event = {"ts": round(time.time(), 3), "pid": os.getpid(),
+        event = {"ts": round(time.time(), 6), "pid": os.getpid(),
                  "kind": kind}
         event.update(fields)
         if self._fd is not None:
@@ -124,9 +138,39 @@ class FlightRecorder:
             except Exception:
                 pass
 
-    def phase(self, name: str, **fields: object) -> "_PhaseHandle":
-        """``with`` context emitting phase_start/phase_end around a block."""
-        return _PhaseHandle(self, name, fields)
+    def span(self, name: str, **attrs: object) -> "_Span":
+        """``with`` context emitting span_start/span_end around a block."""
+        return _Span(self, name, attrs)
+
+    def count(self, name: str, n: Union[int, float] = 1) -> None:
+        """Add ``n`` to a counter of the innermost open span (if any)."""
+        if self._open:
+            counters = self._open[-1].counters
+            counters[name] = counters.get(name, 0) + n
+
+    def events(self) -> List[dict]:
+        """The events in this recorder's log since it was opened."""
+        if self.path is None:
+            return []
+        with open(self.path, "rb") as log:
+            log.seek(self._offset)
+            return parse_events(log.read())
+
+    def snapshot(self) -> dict:
+        """:func:`span_tree` of :meth:`events`, with this process's open
+        spans (the command's root while it writes its manifest) timed up
+        to now and carrying their counters so far."""
+        tree = span_tree(self.events())
+        pid = os.getpid()
+        live = [node for node in (_walk(tree) if tree else ())
+                if node.get("open") and node["pid"] == pid]
+        wall, cpu = time.perf_counter(), time.process_time()
+        for node, span in zip(live, self._open):
+            node["wall_s"] = round(wall - span._t0, 6)
+            node["cpu_s"] = round(cpu - span._c0, 6)
+            if span.counters:
+                node["counters"] = dict(span.counters)
+        return tree
 
     def close(self) -> None:
         if self._fd is not None:
@@ -140,43 +184,53 @@ class FlightRecorder:
             pass
 
 
-class _PhaseHandle:
-    """Times one phase; emits paired phase_start/phase_end events."""
+class _Span:
+    """Times one span; emits paired span_start/span_end events."""
 
-    __slots__ = ("_recorder", "_name", "_fields", "_t0")
+    __slots__ = ("_recorder", "name", "attrs", "counters", "_t0", "_c0")
 
     def __init__(self, recorder: FlightRecorder, name: str,
-                 fields: dict) -> None:
+                 attrs: dict) -> None:
         self._recorder = recorder
-        self._name = name
-        self._fields = fields
+        self.name = name
+        self.attrs = attrs
+        self.counters: Dict[str, Union[int, float]] = {}
 
-    def __enter__(self) -> "_PhaseHandle":
+    def __enter__(self) -> "_Span":
+        if self.attrs:
+            self._recorder.emit("span_start", span=self.name,
+                                attrs=self.attrs)
+        else:
+            self._recorder.emit("span_start", span=self.name)
+        self._recorder._open.append(self)
+        self._c0 = time.process_time()
         self._t0 = time.perf_counter()
-        self._recorder.emit("phase_start", phase=self._name, **self._fields)
         return self
 
     def __exit__(self, exc_type, *exc_info) -> None:
-        wall_s = round(time.perf_counter() - self._t0, 6)
-        self._recorder.emit(
-            "phase_end", phase=self._name, wall_s=wall_s,
-            ok=exc_type is None, **self._fields,
-        )
+        wall_s = time.perf_counter() - self._t0
+        cpu_s = time.process_time() - self._c0
+        self._recorder._open.remove(self)
+        fields: dict = {"span": self.name, "wall_s": round(wall_s, 6),
+                        "cpu_s": round(cpu_s, 6), "ok": exc_type is None}
+        if self.counters:
+            fields["counters"] = self.counters
+        self._recorder.emit("span_end", **fields)
 
 
-class _NoopPhase:
-    """Reusable do-nothing phase context manager."""
+class _NoopSpan:
+    """Reusable do-nothing span context manager."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NoopPhase":
+    def __enter__(self) -> "_NoopSpan":
         return self
 
     def __exit__(self, *exc_info) -> None:
         return None
 
 
-_NOOP_PHASE = _NoopPhase()
+_NOOP_SPAN = _NoopSpan()
 
 
 class NoopRecorder:
@@ -188,8 +242,14 @@ class NoopRecorder:
     def emit(self, kind: str, **fields: object) -> None:
         return None
 
-    def phase(self, name: str, **fields: object) -> _NoopPhase:
-        return _NOOP_PHASE
+    def span(self, name: str, **attrs: object) -> _NoopSpan:
+        return _NOOP_SPAN
+
+    def count(self, name: str, n: Union[int, float] = 1) -> None:
+        return None
+
+    def snapshot(self) -> dict:
+        return {}
 
     def close(self) -> None:
         return None
@@ -242,6 +302,24 @@ class use_recorder:
 
     def __exit__(self, *exc_info) -> None:
         set_recorder(self._previous)
+
+
+def recorder_for(path: Optional[str]) -> Union[FlightRecorder, NoopRecorder]:
+    """This process's recorder, pointed at the event log ``path``.
+
+    Shard work units name their run's log, and a pool worker calls this
+    before it records anything: warm pools outlive runs, so a worker
+    forked under an earlier run's recorder (or none) must follow the log
+    of the run that sent the work. In the parent the names already match
+    and the installed recorder (listener included) is returned as is.
+    """
+    current = get_recorder()
+    wanted = Path(path) if path is not None else None
+    if current.path == wanted:
+        return current
+    recorder = FlightRecorder(wanted) if wanted is not None else NOOP_RECORDER
+    set_recorder(recorder)
+    return recorder
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +379,118 @@ def format_event(event: dict) -> str:
 
 
 # ----------------------------------------------------------------------
+# Span folds — the manifest tree and the Chrome trace
+# ----------------------------------------------------------------------
+
+def span_tree(events: List[dict]) -> dict:
+    """Rebuild the nested span tree from a (possibly truncated) event log.
+
+    Each node is ``{"name", "ts", "pid", "wall_s", "cpu_s"}`` plus
+    ``attrs``, ``counters`` and ``children`` when non-empty, ``ok: False``
+    for a span that raised, and ``open: True`` for a span whose
+    ``span_end`` is not in the log (still running, or killed) — its
+    ``wall_s`` then runs to the last event seen. Spans nest per process;
+    a pool worker's top-level spans go under the span that is innermost
+    in the run's parent process at that point in the log (the parent is
+    the pid of the latest ``run_start``, else of the first event). A log
+    with several top-level spans folds under a synthetic ``events`` root;
+    one without spans folds to ``{}``.
+    """
+    roots: List[dict] = []
+    stacks: Dict[object, List[dict]] = {}
+    parent_pid: object = None
+    last_ts = None
+    for event in events:
+        kind, pid, ts = event.get("kind"), event.get("pid"), event.get("ts")
+        if isinstance(ts, (int, float)):
+            last_ts = ts
+        if kind == "run_start" or parent_pid is None:
+            parent_pid = pid
+        if kind == "span_start":
+            node: dict = {"name": str(event.get("span", "?")), "ts": ts,
+                          "pid": pid, "wall_s": 0.0, "cpu_s": 0.0,
+                          "open": True}
+            if event.get("attrs"):
+                node["attrs"] = dict(event["attrs"])
+            stack = stacks.setdefault(pid, [])
+            host = stack or stacks.get(parent_pid) or [None]
+            siblings = (host[-1].setdefault("children", [])
+                        if host[-1] is not None else roots)
+            siblings.append(node)
+            stack.append(node)
+        elif kind == "span_end":
+            stack = stacks.get(pid, [])
+            name = str(event.get("span", "?"))
+            for depth in range(len(stack) - 1, -1, -1):
+                if stack[depth]["name"] == name:
+                    node = stack[depth]
+                    del stack[depth:]
+                    del node["open"]
+                    node["wall_s"] = float(event.get("wall_s", 0.0))
+                    node["cpu_s"] = float(event.get("cpu_s", 0.0))
+                    if event.get("counters"):
+                        node["counters"] = dict(event["counters"])
+                    if event.get("ok") is False:
+                        node["ok"] = False
+                    break
+    for root in roots:
+        for node in _walk(root):
+            if node.get("open") and isinstance(node["ts"], (int, float)):
+                node["wall_s"] = round(last_ts - node["ts"], 6)
+    if len(roots) == 1:
+        return roots[0]
+    if not roots:
+        return {}
+    return {"name": "events", "ts": roots[0]["ts"], "pid": roots[0]["pid"],
+            "wall_s": sum(root["wall_s"] for root in roots),
+            "cpu_s": sum(root["cpu_s"] for root in roots),
+            "children": roots}
+
+
+def _walk(node: dict):
+    """``node`` and every descendant, depth-first preorder."""
+    yield node
+    for child in node.get("children", ()):
+        yield from _walk(child)
+
+
+def chrome_trace(tree: dict) -> dict:
+    """A :func:`span_tree` as Chrome-trace JSON (chrome://tracing, Perfetto).
+
+    Complete ("X") events in preorder at their real start times, in
+    microseconds from the root's start; each process gets its own track
+    (``tid`` is its pid). ``args`` carry the exact wall/CPU seconds, the
+    attrs and the counters.
+    """
+    events: List[dict] = [{
+        "name": "process_name", "ph": "M", "pid": 1, "tid": 1,
+        "args": {"name": "repro"},
+    }]
+    origin = tree.get("ts") or 0.0
+    for node in (_walk(tree) if tree else ()):
+        args: dict = {"wall_s": node.get("wall_s", 0.0),
+                      "cpu_s": node.get("cpu_s", 0.0)}
+        for key in ("attrs", "counters", "open"):
+            if node.get(key):
+                args[key] = node[key]
+        events.append({
+            "name": node["name"], "ph": "X", "cat": "span",
+            "pid": 1, "tid": node.get("pid") or 1,
+            "ts": int(round(((node.get("ts") or origin) - origin) * 1e6)),
+            "dur": max(int(round(float(node.get("wall_s", 0.0)) * 1e6)), 1),
+            "args": args,
+        })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def write_chrome_trace(tree: dict, path: Union[str, os.PathLike]) -> None:
+    """Write a span tree as a ``chrome://tracing``-loadable JSON file."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(chrome_trace(tree), indent=2) + "\n")
+
+
+# ----------------------------------------------------------------------
 # Postmortem reconstruction
 # ----------------------------------------------------------------------
 
@@ -313,9 +503,9 @@ class Postmortem:
     exit_code: Optional[int] = None
     n_events: int = 0
     duration_s: float = 0.0
-    open_phases: List[str] = field(default_factory=list)
-    last_phase: Optional[str] = None    # innermost phase still open
-    phases_seen: List[str] = field(default_factory=list)
+    open_phases: List[str] = field(default_factory=list)  # open spans
+    last_phase: Optional[str] = None    # innermost span still open
+    phases_seen: List[str] = field(default_factory=list)  # span names
     queued: List[List[int]] = field(default_factory=list)    # [year, shard]
     completed: List[List[int]] = field(default_factory=list)
     outstanding: List[List[int]] = field(default_factory=list)
@@ -422,7 +612,6 @@ def reconstruct(events: List[dict]) -> Postmortem:
         post.duration_s = max(stamps) - min(stamps)
     queued: List[tuple] = []
     completed: List[tuple] = []
-    phase_stack: List[str] = []
     for event in events:
         kind = event.get("kind")
         if kind == "run_start":
@@ -431,15 +620,10 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.status = str(event.get("status", "ok"))
             code = event.get("exit_code")
             post.exit_code = int(code) if code is not None else None
-        elif kind == "phase_start":
-            name = str(event.get("phase", "?"))
-            phase_stack.append(name)
+        elif kind == "span_start":
+            name = str(event.get("span", "?"))
             if name not in post.phases_seen:
                 post.phases_seen.append(name)
-        elif kind == "phase_end":
-            name = str(event.get("phase", "?"))
-            if name in phase_stack:
-                del phase_stack[phase_stack.index(name):]
         elif kind == "shard_queued":
             queued.append((event.get("year"), event.get("shard")))
         elif kind == "shard_completed":
@@ -476,8 +660,14 @@ def reconstruct(events: List[dict]) -> Postmortem:
             post.last_sample = event
         elif kind == "verdict":
             post.verdicts.append(event)
-    post.open_phases = phase_stack
-    post.last_phase = phase_stack[-1] if phase_stack else None
+    # The run's own open spans (outermost first); a worker's open spans
+    # nest under them but are not where the run itself stood.
+    run_pid = (post.run or (events[0] if events else {})).get("pid")
+    tree = span_tree(events)
+    post.open_phases = [node["name"] for node in (_walk(tree) if tree
+                                                  else ())
+                        if node.get("open") and node["pid"] == run_pid]
+    post.last_phase = post.open_phases[-1] if post.open_phases else None
     post.queued = [list(pair) for pair in queued]
     post.completed = [list(pair) for pair in completed]
     done = set(completed)

@@ -13,7 +13,6 @@ from repro.reporting.summary import Finding, study_summary, render_markdown
 from repro.reporting.experiments import (
     Experiment,
     EXPERIMENTS,
-    AnalysisCache,
     AnalysisContext,
     run_experiment,
     list_experiments,
@@ -34,7 +33,6 @@ __all__ = [
     "render_collection_report",
     "Experiment",
     "EXPERIMENTS",
-    "AnalysisCache",
     "AnalysisContext",
     "run_experiment",
     "list_experiments",

@@ -23,12 +23,6 @@ from repro.reporting.context import national_traffic_growth
 from repro.reporting.figures import Figure
 from repro.reporting.tables import Table
 
-#: Deprecated alias, kept for one release. The memoized per-study cache that
-#: used to live here is now the first-class
-#: :class:`repro.analysis.context.AnalysisContext`.
-AnalysisCache = AnalysisContext
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One reproducible paper artifact."""

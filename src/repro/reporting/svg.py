@@ -222,10 +222,10 @@ def span_timeline_svg(
 ) -> str:
     """Render an exported span tree as a flame-graph-style timeline.
 
-    ``exported`` is :meth:`~repro.obs.span.Tracer.export` output (nested
-    name/wall_s/children dicts). Spans record durations rather than start
-    offsets, so children are packed left-to-right within their parent —
-    the same synthetic layout the Chrome-trace export uses. Bar width is
+    ``exported`` is a :func:`~repro.obs.recorder.span_tree` (nested
+    name/wall_s/children dicts). Children are packed left-to-right within
+    their parent, so the picture reads as a breakdown of each span's
+    time rather than a timeline of when it ran. Bar width is
     proportional to wall seconds; depth maps to the row. Each bar carries
     a ``<title>`` tooltip with exact wall/CPU seconds.
     """

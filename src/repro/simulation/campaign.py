@@ -26,7 +26,6 @@ and ``n_jobs=k`` are bit-for-bit identical.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -63,12 +62,11 @@ from repro.engine.resilience import (
 from repro.engine.transport import ShardPayload, run_token, sweep_orphans
 from repro.errors import ConfigurationError, EngineError
 from repro.net.accesspoint import AccessPoint
-from repro.obs.recorder import get_recorder
-from repro.obs.span import Tracer, get_tracer, use_tracer
+from repro.obs.recorder import get_recorder, recorder_for
 from repro.network_env.deployment import Deployment, DeploymentConfig, build_deployment
 from repro.population.profiles import UserProfile
 from repro.population.recruitment import RecruitmentConfig, recruit
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES, simulate_devices
+from repro.simulation.kernel import simulate_devices
 from repro.simulation.params import SimParams
 from repro.timeutil import TimeAxis
 from repro.traces.dataset import CampaignDataset, DatasetBuilder, GroundTruth
@@ -95,12 +93,6 @@ class CampaignConfig:
     #: Bypass the collection pipeline and write simulator output straight
     #: into the builder (legacy fast path; used to verify equivalence).
     direct_build: bool = False
-    #: Which simulation kernel runs the devices. Only the columnar
-    #: ``batch`` kernel remains (the scalar ``legacy`` loop completed its
-    #: one-release deprecation window and was removed); the field stays so
-    #: config reprs — and with them checkpoint/world-cache keys — are
-    #: stable.
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.n_days <= 0:
@@ -111,10 +103,6 @@ class CampaignConfig:
             raise ConfigurationError(
                 "direct_build bypasses the collection pipeline; a nonzero "
                 "FaultPlan would be silently ignored"
-            )
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
             )
 
     @property
@@ -167,10 +155,10 @@ class ShardWork:
     config: CampaignConfig
     shard_index: int
     device_ids: tuple
-    #: When True the worker runs under a local tracer and ships its span
-    #: tree back on the :class:`ShardOutput` (set at plan time from the
-    #: parent's tracer; never affects simulation results).
-    telemetry: bool = False
+    #: The run's event log (set at plan time from the parent's recorder;
+    #: None when it writes no file). A pool worker records its spans and
+    #: events there; never affects simulation results.
+    events: Optional[str] = None
     #: Run token for shared-memory transport: when set (parallel
     #: execution), the worker packs its chunks into a
     #: :class:`~repro.engine.transport.ShardPayload` segment named under
@@ -237,7 +225,7 @@ def _world_for(config: CampaignConfig) -> _World:
     key = repr(config)
     world = _WORLD_CACHE.get(key)
     if world is None:
-        with get_tracer().span("build_world", year=config.year):
+        with get_recorder().span("build_world", year=config.year):
             world = _build_world(config)
         _WORLD_CACHE[key] = world
         while len(_WORLD_CACHE) > _WORLD_CACHE_MAX:
@@ -249,9 +237,9 @@ def _world_for(config: CampaignConfig) -> _World:
 
 def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
     """Build the world and partition the panel into shard work units."""
-    tracer = get_tracer()
-    with tracer.span("plan_campaign", year=config.year), \
-            get_recorder().phase("plan", year=config.year):
+    recorder = get_recorder()
+    events = str(recorder.path) if recorder.path is not None else None
+    with recorder.span("plan_campaign", year=config.year):
         world = _world_for(config)
         shard_plan = plan_units(
             [info.device_id for info in world.infos], max(1, n_jobs)
@@ -259,13 +247,12 @@ def plan_campaign(config: CampaignConfig, n_jobs: int = 1) -> CampaignPlan:
         work = [
             ShardWork(
                 config=config, shard_index=shard.index,
-                device_ids=shard.device_ids,
-                telemetry=tracer.enabled,
+                device_ids=shard.device_ids, events=events,
             )
             for shard in shard_plan.shards
         ]
-        tracer.count("shards", shard_plan.n_shards)
-        tracer.count("devices", shard_plan.n_devices)
+        recorder.count("shards", shard_plan.n_shards)
+        recorder.count("devices", shard_plan.n_devices)
     return CampaignPlan(
         config=config, world=world, shard_plan=shard_plan, work=work
     )
@@ -277,24 +264,16 @@ def simulate_shard(work: ShardWork) -> ShardOutput:
     Module-level so process-pool workers can import it; reuses the parent's
     cached world when forked, rebuilds it deterministically otherwise.
 
-    When the plan carries telemetry, the shard runs under its own local
-    :class:`~repro.obs.span.Tracer` — regardless of whether it executes in
-    a pool worker or inline in the parent — and ships the exported span
-    tree back on ``ShardOutput.spans`` for the merge layer to graft into
-    the parent's trace. Telemetry never touches RNG streams, so traced and
-    untraced shards are bit-identical.
+    The shard is one ``simulate_shard`` span in the run's event log
+    (``work.events``), appended by whichever process runs it; the log's
+    fold nests a worker's spans under the parent's open span. Recording
+    never touches RNG streams, so recorded and unrecorded shards are
+    bit-identical.
     """
-    if not work.telemetry:
+    with recorder_for(work.events).span(
+        "simulate_shard", year=work.config.year, shard=work.shard_index,
+    ):
         return _simulate_shard_impl(work)
-    tracer = Tracer(
-        "simulate_shard",
-        {"year": work.config.year, "shard": work.shard_index,
-         "pid": os.getpid()},
-    )
-    with use_tracer(tracer):
-        output = _simulate_shard_impl(work)
-    output.spans = tracer.export()
-    return output
 
 
 def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
@@ -321,7 +300,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
         )
         builder = server.builder
 
-    tracer = get_tracer()
+    recorder = get_recorder()
     stats = []
     for device_id in work.device_ids:
         if world.profiles[device_id].user_id != device_id:
@@ -329,8 +308,7 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
                 f"panel is not dense: profile "
                 f"{world.profiles[device_id].user_id} at position {device_id}"
             )
-    with tracer.span("simulate_devices", n_devices=len(work.device_ids),
-                     kernel=config.kernel):
+    with recorder.span("simulate_devices", n_devices=len(work.device_ids)):
         # Columnar kernel: per-device streams key only on the device
         # id, so any shard layout produces bit-identical output.
         for result in simulate_devices(
@@ -345,15 +323,15 @@ def _simulate_shard_impl(work: ShardWork) -> ShardOutput:
                 stats.append(pump.transmit_bulk(
                     world.infos[result.device_id], result.tables
                 ))
-            tracer.count("devices")
+            recorder.count("devices")
 
     if server is not None:
-        with tracer.span("flush_buffers"):
+        with recorder.span("flush_buffers"):
             server.flush_buffers()
     chunks = builder.export_chunks()
     payload: Optional[ShardPayload] = None
     if work.shm_token is not None:
-        with tracer.span("pack_payload", shard=work.shard_index):
+        with recorder.span("pack_payload", shard=work.shard_index):
             payload = ShardPayload.pack(chunks, work.shm_token)
         chunks = None
     return ShardOutput(
@@ -417,7 +395,6 @@ def execute_plans(
         [None] * plan.shard_plan.n_shards for plan in plans
     ]
     keys = [config_key(plan.config) for plan in plans]
-    tracer = get_tracer()
     recorder = get_recorder()
 
     def _store_for(pi: int) -> Optional[CampaignStore]:
@@ -426,7 +403,7 @@ def execute_plans(
     if store is not None:
         store.initialize(identity_of(plans), resume=res.resume)
         if res.resume:
-            with tracer.span("load_checkpoints"):
+            with recorder.span("load_checkpoints"):
                 for pi, plan in enumerate(plans):
                     for shard in plan.shard_plan.shards:
                         loaded = store.load(
@@ -437,15 +414,15 @@ def execute_plans(
                             # The checkpoint references a store partition
                             # that vanished or changed since it was saved;
                             # treat it as a miss and re-simulate.
-                            tracer.count("checkpoint_stale_partitions")
+                            recorder.count("checkpoint_stale_partitions")
                             loaded = None
                         if loaded is not None:
                             outputs[pi][shard.index] = loaded
                             recorder.emit("checkpoint_loaded",
                                           year=plan.config.year,
                                           shard=shard.index)
-            tracer.count("checkpoint_hits", store.hits)
-            tracer.count("checkpoint_corrupt", store.corrupt)
+                recorder.count("checkpoint_hits", store.hits)
+                recorder.count("checkpoint_corrupt", store.corrupt)
 
     # Pool workers ship their chunks through shared-memory segments named
     # under this run's token; serial (in-process) execution keeps them
@@ -489,7 +466,7 @@ def execute_plans(
             # cannot leak it.
             output.payload.attach()
             output.payload.unlink()
-            tracer.count("transport_bytes", output.payload.n_bytes)
+            recorder.count("transport_bytes", output.payload.n_bytes)
         plan_store = _store_for(pi)
         if plan_store is not None:
             # Out-of-core: the shard's columns land in a store partition
@@ -501,8 +478,7 @@ def execute_plans(
         outputs[pi][work.shard_index] = output
         if store is not None:
             # Checkpoints must be self-contained: shared-memory views are
-            # materialised and spans dropped (wall-clock telemetry from
-            # THIS run must not be replayed into a resumed run's trace).
+            # materialised.
             store.save(keys[pi], plans[pi].config.seed,
                        work.shard_index, output.for_checkpoint())
             recorder.emit("checkpoint_saved", year=work.config.year,
@@ -534,8 +510,8 @@ def execute_plans(
         name: getattr(executor, name, 0)
         for name in ("retries", "fallbacks", "dropped")
     }
-    with recorder.phase("execute", shards=len(pending),
-                        executor=getattr(executor, "name", "?")):
+    with recorder.span("execute", shards=len(pending),
+                       executor=getattr(executor, "name", "?")):
         executor.run(fn, [work for _, work in pending], on_result=_accept)
 
     report = _resilience_report(
@@ -608,13 +584,7 @@ def merge_campaign(
     """
     config = plan.config
     world = plan.world
-    tracer = get_tracer()
-    # Graft worker span trees under the *current* span (the campaign/study
-    # stage that ran the shards), not under merge_campaign — shard wall
-    # time is execution time, not merge time.
-    for out in outputs:
-        if out is not None:
-            tracer.attach(out.spans)
+    recorder = get_recorder()
     dropped = missing_shards(outputs, plan.shard_plan)
     losses: Optional[ExecutionLosses] = None
     if dropped:
@@ -637,10 +607,9 @@ def merge_campaign(
                     plan.shard_plan.shards[i].n_devices for i in dropped
                 ),
             )
-    with tracer.span("merge_campaign", year=config.year,
-                     n_shards=plan.shard_plan.n_shards,
-                     store=store is not None), \
-            get_recorder().phase("merge", year=config.year):
+    with recorder.span("merge_campaign", year=config.year,
+                       n_shards=plan.shard_plan.n_shards,
+                       store=store is not None):
         if store is None:
             builder = DatasetBuilder(config.year, config.axis)
             for info in world.infos:
@@ -654,13 +623,13 @@ def merge_campaign(
                                    config.axis.n_slots,
                                    allow_missing=allow_partial)
             totals = report.totals()
-            tracer.count("batches_delivered", totals["delivered"])
-            tracer.count("batches_dropped", totals["dropped"])
-            tracer.count("batches_churned", totals["churned"])
-            tracer.count("duplicates_dropped", report.duplicates_dropped)
+            recorder.count("batches_delivered", totals["delivered"])
+            recorder.count("batches_dropped", totals["dropped"])
+            recorder.count("batches_churned", totals["churned"])
+            recorder.count("duplicates_dropped", report.duplicates_dropped)
         if losses is not None:
-            tracer.count("shards_dropped", len(losses.dropped_shards))
-            tracer.count("devices_dropped", losses.dropped_devices)
+            recorder.count("shards_dropped", len(losses.dropped_shards))
+            recorder.count("devices_dropped", losses.dropped_devices)
 
         if store is None:
             _register_observed_aps(builder, world.deployment)
@@ -745,8 +714,8 @@ def run_campaign(
     run out-of-core: shards spill to store partitions on accept and the
     result's dataset reads the finalized store memory-mapped.
     """
-    tracer = get_tracer()
-    with tracer.span("run_campaign", year=config.year):
+    recorder = get_recorder()
+    with recorder.span("run_campaign", year=config.year):
         n_jobs = resolve_jobs(n_jobs)
         plan = plan_campaign(config, n_jobs)
         own_executor = executor is None
@@ -762,13 +731,13 @@ def run_campaign(
         merged = False
         try:
             try:
-                with tracer.span("execute_shards", executor=executor.name,
-                                 n_jobs=executor.n_jobs):
+                with recorder.span("execute_shards", executor=executor.name,
+                                   n_jobs=executor.n_jobs):
                     outputs, report = execute_plans(
                         [plan], executor, resilience=resilience,
                         stores=[store] if store is not None else None,
                     )
-                    tracer.count("shard_fallbacks",
+                    recorder.count("shard_fallbacks",
                                  executor.fallbacks - fallbacks_before)
             finally:
                 if own_executor:

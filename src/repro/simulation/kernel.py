@@ -75,19 +75,13 @@ from repro.timeutil import TimeAxis
 from repro.traces.records import DeviceOS, IfaceKind, WifiStateCode
 
 __all__ = ["DeviceResult", "simulate_devices", "device_stream",
-           "KERNEL_NAMES", "DEFAULT_KERNEL", "_KERNEL_STREAM"]
+           "_KERNEL_STREAM"]
 
 #: Stream-key suffix separating kernel draws from every other stream family.
 _KERNEL_STREAM = 7919
 
 #: Sentinel: ``simulate_devices`` builds its own update model from params.
 _BUILD_UPDATE_MODEL = object()
-
-#: The valid ``kernel`` configuration values. ``legacy`` was removed
-#: after its deprecation release; the CLI maps it to a hard error with a
-#: migration message.
-KERNEL_NAMES = ("batch",)
-DEFAULT_KERNEL = "batch"
 
 _ESSID_CARRIER: Dict[str, Optional[str]] = {
     essid: carrier for essid, _, carrier in PROVIDER_ESSIDS

@@ -30,7 +30,6 @@ from repro.engine.transport import run_token, sweep_orphans
 from repro.errors import ConfigurationError
 from repro.network_env.deployment import DeploymentConfig
 from repro.obs.recorder import get_recorder
-from repro.obs.span import get_tracer
 from repro.network_env.home_wifi import HomeWifiConfig
 from repro.network_env.public_wifi import PublicWifiConfig
 from repro.population.recruitment import RecruitmentConfig
@@ -43,7 +42,6 @@ from repro.simulation.campaign import (
     merge_campaign,
     plan_campaign,
 )
-from repro.simulation.kernel import DEFAULT_KERNEL, KERNEL_NAMES
 from repro.simulation.params import default_params
 from repro.traces.store import CampaignStore
 
@@ -85,7 +83,6 @@ def default_campaign_config(
     scale: float = 1.0,
     seed: int = 7,
     faults: Optional[FaultPlan] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> CampaignConfig:
     """Calibrated campaign configuration for ``year`` at panel ``scale``."""
     if year not in _PANEL:
@@ -130,7 +127,6 @@ def default_campaign_config(
         appetite_median_mb=_APPETITE_MB[year],
         seed=seed + year,
         faults=faults,
-        kernel=kernel,
     )
 
 
@@ -144,8 +140,6 @@ class StudyConfig:
     #: Fault plan applied to every campaign's collection pipeline
     #: (None = lossless zero-fault plan).
     faults: Optional[FaultPlan] = None
-    #: Simulation kernel for every campaign (only ``batch`` remains).
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
@@ -153,11 +147,6 @@ class StudyConfig:
         unknown = [y for y in self.years if y not in YEARS]
         if unknown:
             raise ConfigurationError(f"unknown study years: {unknown}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{KERNEL_NAMES}"
-            )
 
 
 @dataclass
@@ -179,7 +168,6 @@ class Study:
         executor: Optional[Executor] = None,
         resilience: Optional[ResilienceConfig] = None,
         store_dir: Optional[Union[str, Path]] = None,
-        store_format: str = "npy",
     ) -> "Study":
         """Simulate every configured campaign year.
 
@@ -202,8 +190,8 @@ class Study:
         process never holds a whole campaign's rows. Bit-identical to the
         in-memory path at any ``n_jobs``.
         """
-        tracer = get_tracer()
-        with tracer.span("study.run", scale=self.config.scale,
+        recorder = get_recorder()
+        with recorder.span("study.run", scale=self.config.scale,
                          seed=self.config.seed,
                          years=list(self.config.years)):
             n_jobs = resolve_jobs(n_jobs)
@@ -211,7 +199,7 @@ class Study:
                 plan_campaign(
                     default_campaign_config(
                         year, scale=self.config.scale, seed=self.config.seed,
-                        faults=self.config.faults, kernel=self.config.kernel,
+                        faults=self.config.faults,
                     ),
                     n_jobs,
                 )
@@ -223,7 +211,6 @@ class Study:
                     CampaignStore(
                         Path(store_dir) / f"campaign{plan.config.year}",
                         plan.config.year, plan.config.axis,
-                        format=store_format,
                     )
                     for plan in plans
                 ]
@@ -242,14 +229,14 @@ class Study:
             merged = False
             try:
                 try:
-                    with tracer.span("execute_shards",
-                                     executor=executor.name,
-                                     n_jobs=executor.n_jobs):
+                    with recorder.span("execute_shards",
+                                       executor=executor.name,
+                                       n_jobs=executor.n_jobs):
                         outputs, report = execute_plans(
                             plans, executor, resilience=resilience,
                             stores=stores,
                         )
-                        tracer.count("shard_fallbacks",
+                        recorder.count("shard_fallbacks",
                                      executor.fallbacks - fallbacks_before)
                 finally:
                     if own_executor:
@@ -280,8 +267,7 @@ class Study:
                         keep_partitions=checkpointed,
                     )
                     self.campaigns[year] = result
-                    with tracer.span("survey", year=year), \
-                            get_recorder().phase("survey", year=year):
+                    with recorder.span("survey", year=year):
                         survey_rng = np.random.default_rng(
                             (self.config.seed, year, 99)
                         )
@@ -332,16 +318,13 @@ def run_study(
     n_jobs: Optional[int] = None,
     executor: Optional[Executor] = None,
     resilience: Optional[ResilienceConfig] = None,
-    kernel: str = DEFAULT_KERNEL,
     store_dir: Optional[Union[str, Path]] = None,
-    store_format: str = "npy",
 ) -> Study:
     """Convenience: run the full study at ``scale`` and return it."""
     config = StudyConfig(
         scale=scale, seed=seed, years=years or YEARS, faults=faults,
-        kernel=kernel,
     )
     return Study(config).run(
         n_jobs=n_jobs, executor=executor, resilience=resilience,
-        store_dir=store_dir, store_format=store_format,
+        store_dir=store_dir,
     )

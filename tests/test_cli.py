@@ -241,11 +241,18 @@ def test_fidelity_full_run_gates_doc_report_and_trace(tmp_path, capsys):
     assert run.command == "fidelity"
     assert run.counters["fidelity_checks"] == len(REFERENCES)
 
-    from repro.obs.span import spans_from_chrome_trace
+    # The Chrome trace and the manifest are folds of the same event log.
+    events = json.loads(trace.read_text())["traceEvents"]
+    names = [e["name"] for e in events if e["ph"] == "X"]
+    assert names[0] == "repro.fidelity"
+    assert "fidelity.score" in names
+    assert names == [node["name"] for node in _walk(run.spans)]
 
-    rebuilt = spans_from_chrome_trace(json.loads(trace.read_text()))
-    assert rebuilt is not None
-    assert any(s.name == "fidelity.score" for s in rebuilt.walk())
+
+def _walk(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _walk(child)
 
 
 def test_fidelity_check_flags_disappeared_check(tmp_path, capsys):
@@ -268,3 +275,87 @@ def test_fidelity_check_flags_disappeared_check(tmp_path, capsys):
                  "--check", str(doctored_path)]) == 1
     err = capsys.readouterr().err
     assert "REGRESSION" in err and "t3_phantom" in err
+
+
+def test_analyze_reports_experiments_lacking_data(tmp_path, capsys,
+                                                  monkeypatch):
+    """One experiment without enough data must not abort the others."""
+    import dataclasses
+
+    from repro.errors import AnalysisError
+    from repro.reporting.experiments import EXPERIMENTS
+
+    def lacking(context):
+        raise AnalysisError("not enough capped/other device-days")
+
+    monkeypatch.setitem(EXPERIMENTS, "table1",
+                        dataclasses.replace(EXPERIMENTS["table1"], fn=lacking))
+    out_dir = tmp_path / "report"
+    code = main(["analyze", "fig01", "table1", "table4", "--scale", "0.02",
+                 "--seed", "3", "--out", str(out_dir), "--telemetry"])
+    assert code == 2
+    assert sorted(p.name for p in out_dir.glob("*.txt")) == [
+        "fig01.txt", "table4.txt"]
+    err = capsys.readouterr().err
+    assert "table1 (not enough capped/other device-days)" in err
+    from repro.obs.manifest import RunManifest
+
+    run = RunManifest.read(out_dir / "run_manifest.json")
+    assert run.status == "failed"
+    assert run.counters["experiments_run"] == 2
+    assert run.counters["experiments_lacking_data"] == 1
+
+
+def _shape(node):
+    """A span tree without its timings: names, nesting, attrs, counters."""
+    return (node["name"], node.get("attrs"), node.get("counters"),
+            [_shape(child) for child in node.get("children", ())])
+
+
+def test_manifest_spans_are_the_fold_of_the_event_log(tmp_path, capsys):
+    from repro.obs.manifest import RunManifest
+    from repro.obs.recorder import load_events, span_tree
+
+    events, manifest = tmp_path / "E.jsonl", tmp_path / "M.json"
+    assert main(["simulate", "--scale", "0.02", "--seed", "7", "--jobs", "2",
+                 "--out", str(tmp_path / "data"), "--events", str(events),
+                 "--telemetry", "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    tree = span_tree(load_events(events))
+    spans = RunManifest.read(manifest).spans
+    assert _shape(tree) == _shape(spans)
+    # Written while the command ran, the manifest holds its root open,
+    # timed up to the write; the finished log has closed it.
+    assert spans.get("open") and not tree.get("open")
+    assert 0.0 < spans["cpu_s"] <= tree["cpu_s"]
+    assert 0.0 < spans["wall_s"] <= tree["wall_s"]
+    shards = [node for node in _walk(tree)
+              if node["name"] == "simulate_shard"]
+    assert len(shards) == 6
+    # Pool workers appended their own spans, nested under execute.
+    assert {node["pid"] for node in shards}.isdisjoint({tree["pid"]})
+    (execute,) = [node for node in _walk(tree) if node["name"] == "execute"]
+    assert all(node in execute["children"] for node in shards)
+
+
+def test_analyze_artifact_stages_come_from_spans_only(tmp_path, capsys):
+    """Each artifact stage counts its cache misses once, timed by spans."""
+    from repro.obs.manifest import RunManifest
+
+    out_dir = tmp_path / "report"
+    assert main(["analyze", "fig01", "fig06", "table6", "table7",
+                 "--scale", "0.02", "--seed", "7", "--out", str(out_dir),
+                 "--telemetry"]) == 0
+    capsys.readouterr()
+    run = RunManifest.read(out_dir / "run_manifest.json")
+    artifacts = {name.split(".")[1] for name in run.counters
+                 if name.startswith("cache.") and name.endswith(".misses")}
+    assert "classification" in artifacts
+    for artifact in artifacts:
+        stage = run.stages[f"artifact.{artifact}"]
+        spans = [node for node in _walk(run.spans)
+                 if node["name"] == f"artifact.{artifact}"]
+        assert stage["count"] == run.counters[f"cache.{artifact}.misses"]
+        assert stage["count"] == len(spans)
+        assert stage["wall_s"] == pytest.approx(
+            sum(node["wall_s"] for node in spans), abs=1e-5)

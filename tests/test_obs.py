@@ -1,8 +1,9 @@
 """Unit tests for the run-telemetry subsystem (``repro.obs``).
 
-Covers the span/tracer core, the metrics registry's duck-typed ingestors,
-run-manifest round-trips, the unified bench harness (discovery, the
-``best_of`` timing primitive, suite runs) and the CI regression gate.
+Covers the recorder's spans and their folds (span tree, Chrome trace), the
+metrics registry's duck-typed ingestors, run-manifest round-trips, the
+unified bench harness (discovery, the ``best_of`` timing primitive, suite
+runs) and the CI regression gate.
 """
 
 import json
@@ -13,33 +14,40 @@ import pytest
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.manifest import RunManifest, build_manifest, config_hash_of
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import (
-    NOOP_TRACER,
-    NoopTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    spans_from_chrome_trace,
-    telemetry_enabled,
-    to_chrome_trace,
-    use_tracer,
+from repro.obs.recorder import (
+    NOOP_RECORDER,
+    FlightRecorder,
+    NoopRecorder,
+    chrome_trace,
+    get_recorder,
+    load_events,
+    span_tree,
+    use_recorder,
     write_chrome_trace,
 )
 
 
+def _recorded(tmp_path, body, name="events.jsonl"):
+    """Run ``body(recorder)`` under a fresh recorder; its span tree."""
+    recorder = FlightRecorder(tmp_path / name)
+    with use_recorder(recorder):
+        body(recorder)
+    recorder.close()
+    return span_tree(load_events(tmp_path / name))
+
+
 # ---------------------------------------------------------------------------
-# Span / Tracer core
+# Spans on the recorder, folded back into a tree
 # ---------------------------------------------------------------------------
 
-def test_span_nesting_and_counters():
-    tracer = Tracer("root")
-    with tracer.span("outer", year=2015):
-        tracer.count("ticks", 3)
-        with tracer.span("inner"):
-            tracer.count("ticks", 2)
-    tree = tracer.export()
-    outer = tree["children"][0]
+def test_span_nesting_and_counters(tmp_path):
+    def body(recorder):
+        with recorder.span("outer", year=2015):
+            recorder.count("ticks", 3)
+            with recorder.span("inner"):
+                recorder.count("ticks", 2)
+
+    outer = _recorded(tmp_path, body)
     assert outer["name"] == "outer"
     assert outer["attrs"] == {"year": 2015}
     assert outer["counters"] == {"ticks": 3}
@@ -47,74 +55,76 @@ def test_span_nesting_and_counters():
     (inner,) = outer["children"]
     assert inner["name"] == "inner"
     assert inner["counters"] == {"ticks": 2}
+    assert "open" not in outer and "open" not in inner
 
 
-def test_span_dict_round_trip():
-    tracer = Tracer("root", {"pid": 1})
-    with tracer.span("a", k="v"):
-        tracer.count("n", 7)
-    exported = tracer.export()
-    rebuilt = Span.from_dict(exported).as_dict()
-    assert rebuilt == exported
-    # Export must be plain-JSON serialisable (crosses process boundaries).
-    assert json.loads(json.dumps(exported)) == exported
+def test_span_dict_round_trip(tmp_path):
+    def body(recorder):
+        with recorder.span("root", pid=1):
+            with recorder.span("a", k="v"):
+                recorder.count("n", 7)
+            with pytest.raises(RuntimeError):
+                with recorder.span("b"):
+                    raise RuntimeError("boom")
+
+    tree = _recorded(tmp_path, body)
+    a, b = tree["children"]
+    assert a["attrs"] == {"k": "v"} and a["counters"] == {"n": 7}
+    assert b["ok"] is False and "ok" not in a
+    # The fold is plain JSON (it lands in the manifest as is).
+    assert json.loads(json.dumps(tree)) == tree
 
 
 def test_tracer_attach_grafts_subtree():
-    parent = Tracer("parent")
-    worker = Tracer("worker", {"shard": 3})
-    with worker.span("work"):
-        worker.count("items", 5)
-    with parent.span("merge"):
-        parent.attach(worker.export())
-    tree = parent.export()
-    merge = tree["children"][0]
-    grafted = merge["children"][0]
-    assert grafted["name"] == "worker"
+    """A pool worker's top-level spans nest under the parent's open span."""
+    def event(pid, kind, **fields):
+        return {"ts": 1.0, "pid": pid, "kind": kind, **fields}
+
+    events = [
+        event(1, "run_start", command="simulate"),
+        event(1, "span_start", span="execute"),
+        event(2, "span_start", span="simulate_shard", attrs={"shard": 3}),
+        event(2, "span_start", span="work"),
+        event(2, "span_end", span="work", wall_s=0.5, cpu_s=0.5,
+              ok=True, counters={"items": 5}),
+        event(2, "span_end", span="simulate_shard", wall_s=0.6, cpu_s=0.6,
+              ok=True),
+        event(1, "span_end", span="execute", wall_s=1.0, cpu_s=0.1, ok=True),
+        event(1, "span_start", span="merge"),
+        event(1, "span_end", span="merge", wall_s=0.2, cpu_s=0.2, ok=True),
+    ]
+    tree = span_tree(events)
+    assert tree["name"] == "events"  # two top-level spans
+    execute, merge = tree["children"]
+    (grafted,) = execute["children"]
+    assert grafted["name"] == "simulate_shard" and grafted["pid"] == 2
     assert grafted["attrs"] == {"shard": 3}
     assert grafted["children"][0]["counters"] == {"items": 5}
+    assert "children" not in merge
+
+
+def test_span_tree_of_a_cut_log_marks_open_spans():
+    events = [
+        {"ts": 10.0, "pid": 1, "kind": "span_start", "span": "run"},
+        {"ts": 10.5, "pid": 1, "kind": "span_start", "span": "execute"},
+        {"ts": 12.0, "pid": 1, "kind": "progress", "done": 1},
+    ]
+    tree = span_tree(events)
+    assert tree["open"] and tree["children"][0]["open"]
+    # An open span's time runs to the last event in the log.
+    assert tree["wall_s"] == 2.0 and tree["children"][0]["wall_s"] == 1.5
+    assert span_tree([]) == {}
 
 
 def test_default_tracer_is_noop_singleton():
-    assert get_tracer() is NOOP_TRACER
-    assert isinstance(get_tracer(), NoopTracer)
-    assert not get_tracer().enabled
+    assert get_recorder() is NOOP_RECORDER
+    assert isinstance(get_recorder(), NoopRecorder)
+    assert not get_recorder().enabled
     # The no-op handle is one shared object: entering a span allocates
     # nothing, which is what keeps telemetry-off runs overhead-free.
-    assert get_tracer().span("a") is get_tracer().span("b", k=1)
-    with get_tracer().span("works-as-context-manager"):
-        get_tracer().count("ignored", 1)
-
-
-def test_set_tracer_returns_previous_and_resets():
-    tracer = Tracer("t")
-    assert set_tracer(tracer) is NOOP_TRACER
-    try:
-        assert get_tracer() is tracer
-    finally:
-        assert set_tracer(None) is tracer
-    assert get_tracer() is NOOP_TRACER
-
-
-def test_use_tracer_restores_on_exit():
-    tracer = Tracer("scoped")
-    with use_tracer(tracer):
-        assert get_tracer() is tracer
-        with pytest.raises(RuntimeError):
-            with use_tracer(Tracer("inner")):
-                raise RuntimeError("boom")
-        assert get_tracer() is tracer
-    assert get_tracer() is NOOP_TRACER
-
-
-def test_telemetry_enabled_reads_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    assert not telemetry_enabled()
-    for truthy in ("1", "true", "ON", "yes"):
-        monkeypatch.setenv("REPRO_TELEMETRY", truthy)
-        assert telemetry_enabled()
-    monkeypatch.setenv("REPRO_TELEMETRY", "0")
-    assert not telemetry_enabled()
+    assert get_recorder().span("a") is get_recorder().span("b", k=1)
+    with get_recorder().span("works-as-context-manager"):
+        get_recorder().count("ignored", 1)
 
 
 def test_noop_tracer_per_op_cost_is_negligible():
@@ -123,11 +133,11 @@ def test_noop_tracer_per_op_cost_is_negligible():
     Budget: < 5µs per span enter/exit (a small campaign opens a few
     thousand spans, so this bounds total overhead well under 1%).
     """
-    tracer = get_tracer()
+    recorder = get_recorder()
     n = 50_000
     start = time.perf_counter()
     for _ in range(n):
-        with tracer.span("x", a=1):
+        with recorder.span("x", a=1):
             pass
     per_op = (time.perf_counter() - start) / n
     assert per_op < 5e-6, f"no-op span cost {per_op * 1e6:.2f}µs"
@@ -138,63 +148,51 @@ def test_noop_tracer_per_op_cost_is_negligible():
 # ---------------------------------------------------------------------------
 
 def test_chrome_trace_round_trip(tmp_path):
-    tracer = Tracer("run", {"seed": 7})
-    with tracer.span("outer", year=2015):
-        tracer.count("items", 3)
-        with tracer.span("fast"):
-            pass
-        with tracer.span("slow"):
-            tracer.count("bytes", 12)
-    exported = tracer.export()
+    def body(recorder):
+        with recorder.span("run", seed=7):
+            with recorder.span("outer", year=2015):
+                recorder.count("items", 3)
+                with recorder.span("fast"):
+                    pass
+                with recorder.span("slow"):
+                    time.sleep(0.002)
+                    recorder.count("bytes", 12)
 
-    trace = to_chrome_trace(exported)
-    # The tracer method re-exports (the root's wall time is re-stamped),
-    # so compare shape rather than timings.
-    assert ([e["name"] for e in tracer.to_chrome_trace()["traceEvents"]]
-            == [e["name"] for e in trace["traceEvents"]])
+    tree = _recorded(tmp_path, body)
+    trace = chrome_trace(tree)
     meta, *events = trace["traceEvents"]
     assert meta["ph"] == "M" and meta["args"]["name"] == "repro"
     assert all(e["ph"] == "X" and e["dur"] >= 1 for e in events)
     assert [e["name"] for e in events] == ["run", "outer", "fast", "slow"]
-    assert [e["args"]["depth"] for e in events] == [0, 1, 2, 2]
-    # Siblings lay out sequentially: "slow" starts where "fast" ended.
-    fast, slow = events[2], events[3]
-    assert slow["ts"] == fast["ts"] + fast["dur"]
-
-    # args carry the exact durations, so the rebuilt tree is identical
-    # despite the microsecond rounding of ts/dur.
-    assert spans_from_chrome_trace(trace).as_dict() == exported
+    # Real start times: the root starts at 0, children inside their
+    # parent, siblings in the order they ran.
+    run, outer, fast, slow = events
+    assert run["ts"] == 0 and outer["ts"] >= run["ts"]
+    assert slow["ts"] >= fast["ts"] + fast["dur"] - 1
+    assert slow["args"]["counters"] == {"bytes": 12}
+    assert outer["args"]["attrs"] == {"year": 2015}
+    assert slow["args"]["wall_s"] == tree["children"][0]["children"][1][
+        "wall_s"]
 
     out = tmp_path / "trace.json"
-    write_chrome_trace(exported, out)
-    reloaded = json.loads(out.read_text())
-    assert spans_from_chrome_trace(reloaded).as_dict() == exported
-
-
-def test_chrome_trace_rejects_malformed():
-    assert spans_from_chrome_trace({"traceEvents": []}) is None
-    xs = [e for e in Tracer("a").to_chrome_trace()["traceEvents"]
-          if e["ph"] == "X"]
-    with pytest.raises(ValueError, match="more than one root"):
-        spans_from_chrome_trace({"traceEvents": xs + xs})
-    orphan = {"name": "x", "ph": "X", "ts": 0, "dur": 1,
-              "args": {"depth": 2}}
-    with pytest.raises(ValueError, match="has no parent"):
-        spans_from_chrome_trace({"traceEvents": [orphan]})
+    write_chrome_trace(tree, out)
+    assert json.loads(out.read_text()) == trace
 
 
 # ---------------------------------------------------------------------------
 # Metrics registry
 # ---------------------------------------------------------------------------
 
-def test_metrics_registry_ingests_span_tree():
-    tracer = Tracer("run")
-    with tracer.span("simulate"):
-        tracer.count("devices", 4)
-        with tracer.span("flush"):
-            pass
+def test_metrics_registry_ingests_span_tree(tmp_path):
+    def body(recorder):
+        with recorder.span("run"):
+            with recorder.span("simulate"):
+                recorder.count("devices", 4)
+                with recorder.span("flush"):
+                    pass
+
     registry = MetricsRegistry()
-    registry.ingest_span_tree(tracer.export())
+    registry.ingest_span_tree(_recorded(tmp_path, body))
     out = registry.as_dict()
     assert out["counters"]["span.simulate.devices"] == 4
     assert "simulate" in out["stages"]
@@ -232,11 +230,13 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_manifest_round_trip(tmp_path):
-    tracer = Tracer("repro.simulate")
-    with tracer.span("study.run", scale=0.01):
-        tracer.count("devices", 12)
+    def body(recorder):
+        with recorder.span("repro.simulate"):
+            with recorder.span("study.run", scale=0.01):
+                recorder.count("devices", 12)
+
     manifest = build_manifest(
-        "simulate", tracer,
+        "simulate", _recorded(tmp_path, body),
         config_hash=config_hash_of("cfg"),
         seed=11, scale=0.01, years=[2013],
         shards=[{"year": 2013, "n_shards": 2, "n_devices": 12}],

@@ -10,7 +10,7 @@ from repro.reporting.context import (
 )
 from repro.reporting.experiments import (
     EXPERIMENTS,
-    AnalysisCache,
+    AnalysisContext,
     list_experiments,
     run_experiment,
 )
@@ -108,7 +108,7 @@ class TestExperimentRegistry:
     def test_cache_requires_run_study(self):
         from repro.simulation.study import Study
         with pytest.raises(AnalysisError):
-            AnalysisCache(Study())
+            AnalysisContext(Study())
 
     def test_cache_memoizes(self, cache):
         assert cache.classification(2015) is cache.classification(2015)

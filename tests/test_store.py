@@ -9,6 +9,8 @@ store's content fingerprint changes.
 """
 
 import dataclasses
+import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from repro.engine import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import DatasetError
 from repro.simulation.campaign import run_campaign
 from repro.simulation.study import default_campaign_config
 from repro.traces.dataset import DatasetBuilder
@@ -33,7 +35,6 @@ from repro.traces.io import load_dataset
 from repro.traces.store import (
     STORE_MANIFEST,
     CampaignStore,
-    _have_pyarrow,
     is_store_dir,
     open_store,
     store_fingerprint,
@@ -207,31 +208,16 @@ class TestReadPushdown:
 
 
 class TestFormats:
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store format"):
-            CampaignStore(tmp_path, 2015, _axis(), format="feather")
-
-    @pytest.mark.skipif(_have_pyarrow(), reason="pyarrow is installed")
-    def test_parquet_without_pyarrow_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="needs pyarrow"):
-            CampaignStore(tmp_path, 2015, _axis(), format="parquet")
-
-    @pytest.mark.skipif(_have_pyarrow(), reason="pyarrow is installed")
-    def test_auto_falls_back_to_npy(self, tmp_path):
-        store = CampaignStore(tmp_path, 2015, _axis(), format="auto")
-        assert store.format == "npy"
-
-    @pytest.mark.skipif(not _have_pyarrow(), reason="needs pyarrow")
-    def test_parquet_round_trip_matches_npy(self, tmp_path):
-        config = _small_config(2013)
-        npy = CampaignStore(tmp_path / "npy", config.year, config.axis)
-        parquet = CampaignStore(tmp_path / "parquet", config.year,
-                                config.axis, format="parquet")
-        a = run_campaign(config, store=npy)
-        b = run_campaign(config, store=parquet)
-        assert_datasets_identical(a.dataset, b.dataset)
-        # The fingerprint hashes column bytes, not files: backends agree.
-        assert npy.fingerprint == parquet.fingerprint
+    def test_unknown_format_rejected(self, finalized, tmp_path):
+        root = tmp_path / "campaign2015"
+        shutil.copytree(finalized[0].root, root)
+        manifest_path = root / STORE_MANIFEST
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == "npy"
+        manifest["format"] = "parquet"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match="unsupported store format"):
+            CampaignStore.open(root)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ def test_summary_mostly_holds(cache):
 
 
 def test_summary_needs_multiple_years():
-    from repro import AnalysisCache, run_study
+    from repro import AnalysisContext, run_study
     study = run_study(scale=0.02, seed=3, years=(2015,))
     with pytest.raises(AnalysisError):
-        study_summary(AnalysisCache(study))
+        study_summary(AnalysisContext(study))
 
 
 def test_render_markdown():

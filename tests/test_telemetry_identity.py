@@ -1,17 +1,23 @@
 """Telemetry must never change results.
 
-The observability layer's core contract: a run with tracing, flight
-recording, or resource sampling on is bit-for-bit identical to the same
-run with them off, for any worker count. Telemetry reads outcomes — it
-must not touch RNG streams, device ordering, or the collection path.
+The observability layer's core contract: a run with flight recording
+(spans and events) or resource sampling on is bit-for-bit identical to
+the same run with them off, for any worker count. Telemetry reads
+outcomes — it must not touch RNG streams, device ordering, or the
+collection path.
 """
 
 import pytest
 
 from repro.collection.faults import FaultPlan
-from repro.obs.recorder import FlightRecorder, load_events, use_recorder
+from repro.obs.recorder import (
+    NOOP_RECORDER,
+    FlightRecorder,
+    load_events,
+    span_tree,
+    use_recorder,
+)
 from repro.obs.resources import ResourceSampler
-from repro.obs.span import Tracer, use_tracer
 from repro.simulation.campaign import run_campaign
 from repro.simulation.study import StudyConfig, Study
 
@@ -19,18 +25,18 @@ from .test_engine import _small_config, assert_datasets_identical
 
 
 @pytest.fixture
-def traced():
-    """A real tracer installed for the duration of one test."""
-    tracer = Tracer("test")
-    with use_tracer(tracer):
-        yield tracer
+def traced(tmp_path):
+    """A real recorder installed for one test; call it for the span tree."""
+    log = tmp_path / "traced.jsonl"
+    with use_recorder(FlightRecorder(log)):
+        yield lambda: span_tree(load_events(log))
 
 
 def test_campaign_identical_with_telemetry_on(traced):
     config = _small_config()
-    baseline = run_campaign(config)  # runs under the real tracer too, but
-    # the reference below is produced with the default no-op tracer:
-    with use_tracer(None):
+    baseline = run_campaign(config)  # runs under the real recorder too,
+    # but the reference below is produced with the default no-op one:
+    with use_recorder(NOOP_RECORDER):
         untraced = run_campaign(config)
     assert_datasets_identical(untraced.dataset, baseline.dataset)
 
@@ -40,9 +46,14 @@ def test_campaign_identical_across_workers_with_telemetry(traced):
     serial = run_campaign(config, n_jobs=1)
     sharded = run_campaign(config, n_jobs=2)
     assert_datasets_identical(serial.dataset, sharded.dataset)
-    # Worker spans came back from both runs and were grafted into ours.
-    names = [span["name"] for span in traced.export()["children"]]
-    assert names.count("run_campaign") == 2
+    # Both runs' spans, worker shards included, fold from one log.
+    tree = traced()
+    assert [span["name"] for span in tree["children"]] == [
+        "run_campaign", "run_campaign"]
+    shards = [span for span in _walk_spans(tree)
+              if span["name"] == "simulate_shard"]
+    assert len(shards) == (serial.execution.n_shards
+                           + sharded.execution.n_shards)
 
 
 def test_faulty_campaign_identical_with_telemetry(traced):
@@ -50,7 +61,7 @@ def test_faulty_campaign_identical_with_telemetry(traced):
         upload_failure_p=0.1, dropout_p=0.1, duplicate_p=0.05
     ))
     traced_run = run_campaign(config, n_jobs=2)
-    with use_tracer(None):
+    with use_recorder(NOOP_RECORDER):
         untraced = run_campaign(config, n_jobs=2)
     assert_datasets_identical(untraced.dataset, traced_run.dataset)
     assert untraced.collection.totals() == traced_run.collection.totals()
@@ -60,10 +71,8 @@ def test_study_run_records_span_tree(traced):
     study = Study(StudyConfig(scale=0.004, seed=11, years=(2013,))).run(
         n_jobs=2
     )
-    tree = traced.export()
-    (study_span,) = [
-        span for span in tree["children"] if span["name"] == "study.run"
-    ]
+    study_span = traced()
+    assert study_span["name"] == "study.run"
     names = {name for name, _ in _walk(study_span)}
     # The pipeline's load-bearing stages all appear in the trace.
     assert {"plan_campaign", "execute_shards", "simulate_shard",
@@ -86,6 +95,11 @@ def _walk(span):
         yield from _walk(child)
 
 
+def _walk_spans(span):
+    for _, node in _walk(span):
+        yield node
+
+
 def test_campaign_identical_with_flight_recorder(tmp_path):
     config = _small_config()
     with use_recorder(FlightRecorder(tmp_path / "events.jsonl")):
@@ -94,7 +108,7 @@ def test_campaign_identical_with_flight_recorder(tmp_path):
     assert_datasets_identical(unrecorded.dataset, recorded.dataset)
     kinds = {e["kind"] for e in load_events(tmp_path / "events.jsonl")}
     assert {"shard_queued", "shard_completed", "progress",
-            "phase_start", "phase_end"} <= kinds
+            "span_start", "span_end"} <= kinds
 
 
 def test_campaign_identical_with_recorder_and_sampler_across_jobs(tmp_path):
